@@ -50,10 +50,6 @@ class LevelTooSmall(KubotaMetaError):
     """Character sum did not stabilize at the requested truncation level."""
 
 
-class SnapFailure(KubotaMetaError):
-    """Computed value is not within tolerance of any eighth root of unity."""
-
-
 class NotASign(KubotaMetaError):
     """Quotient expected to be +1 or -1 landed elsewhere."""
 

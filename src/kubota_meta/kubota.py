@@ -52,7 +52,8 @@ class Mat2:
 
     def __init__(self, field: LocalField, a, b, c, d, det=None):
         for entry in (a, b, c, d):
-            if not isinstance(entry, FieldElement) or entry.field != field:
+            if not isinstance(entry, FieldElement) or (
+                    entry.field is not field and entry.field != field):
                 raise FieldMismatch("matrix entries must lie in the given field")
         self.field = field
         self.a, self.b, self.c, self.d = a, b, c, d
@@ -88,14 +89,14 @@ class Mat2:
         return prod
 
     def inverse(self) -> "Mat2":
-        det = self.det
+        r = self.det.inverse()
         inv = Mat2(
             self.field,
-            self.d / det,
-            -self.b / det,
-            -self.c / det,
-            self.a / det,
-            det=det.inverse(),
+            self.d * r,
+            -self.b * r,
+            -self.c * r,
+            self.a * r,
+            det=r,
         )
         # class keys are 2-torsion, so det and 1/det share one
         inv._kdet = self._kdet

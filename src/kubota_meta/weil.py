@@ -1,5 +1,5 @@
-"""Additive characters as exact roots of unity, quadratic character sums,
-and the eighth-root index gamma(a, psi) realized by their normalized ratios.
+"""Additive characters as exact roots of unity, the eighth-root index
+gamma(a, psi) from its exact table, and quadratic character sums.
 
 Conventions
 -----------
@@ -11,21 +11,22 @@ of integers:
 * ramified:   psi0(x) = exp(2 pi i {Tr(x / sqrt(d))}_p), the 1/sqrt(d)
   shift compensating for the nontrivial different.
 
-The index is realized by truncated sums S(c) = sum over O/pi^k of
-psi0(c y^2).  Writing a-hat for a with even uniformizer powers stripped,
-
-    gamma(a, psi_s) = (a, s) * snap8( N(S(a-hat / pi)) / N(S(1 / pi)) ),
-
-with N(z) = z/|z|.  The 1/pi shift puts the summand's nontrivial locus
-inside the integers, where the truncated sum is exactly proportional to
-its stabilized limit (higher shells cancel), so the ratio is already exact
-at small k; levels k and k+1 are compared to keep that honest.  Under this
-normalization gamma(u, psi0) for a unit u is the residue-field Euler sign
-of u, and the product relation
+gamma(a, psi0) is the Weil index with respect to x -> psi0(pi x), i.e.
+(a, pi) times the classical normalized index of psi0 (Weil, Acta Math. 111,
+1964; Ranga Rao, Pacific J. Math. 157, 1993): a unit gets the Euler sign of its
+residue, and gamma(pi) = 1/N(S(1/pi)), where S(c) sums psi0(c y^2) over
+O/pi^k and N(z) = z/|z|.  S(1/pi) is a residue-field Gauss sum, so over the
+classes (1, u, pi, u*pi) the index is (0, 4, g, g) in eighths: on Q_p,
+g = 0 or 6 as p = 1 or 3 mod 4 (1/N(G_p), G_p = sqrt(p) or i sqrt(p)); on
+the unramified field, g = 4 or 0 likewise (1/N(-G_p^2), Hasse-Davenport); on a
+ramified field, the base value plus 4 when 2 (d/p) is a non-square mod p,
+since psi0(y^2 / sqrt(d)) = exp(2 pi i 2 y^2 / d) for rational y.  Then
+gamma(a, psi_s) = (a, s) gamma(a, psi0), and the product relation
 
     gamma(a) gamma(b) = (a, b) gamma(ab)
 
-holds on the nose, which is what the cross-module suites verify.
+holds on the nose.  No float enters the index: :func:`gauss_sum` computes
+S(c) numerically (with numpy) only to cross-check the table in the tests.
 """
 
 from __future__ import annotations
@@ -33,22 +34,17 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-
-import numpy as np
 
 from .errors import (
     FieldMismatch,
     LevelTooSmall,
     NotASign,
-    SnapFailure,
     ZeroElement,
 )
 from .hilbert import Sign, pair_class_keys
 from .local_field import (
     FieldElement,
     LocalField,
-    SquareClass,
     class_key,
     rational_mod,
     vp_fraction,
@@ -205,6 +201,8 @@ def _char_sum(psi: AdditiveChar, a: FieldElement, k: int) -> complex:
         raise ValueError("character denominator too large to enumerate")
     A, B, C = (rational_mod(t * M, M) if t else 0 for t in coeffs)
 
+    import numpy as np
+
     y0 = np.arange(n0, dtype=np.int64)
     q0 = (y0 * y0) % M
     if n1 == 1:
@@ -249,25 +247,19 @@ def gauss_sum(psi: AdditiveChar, a: FieldElement, level: int) -> complex:
 # the index
 
 
-def _snap_eighth(z: complex) -> EighthRoot:
-    for k in range(8):
-        if abs(z - cmath.exp(2j * cmath.pi * k / 8)) < SNAP_TOLERANCE:
-            return EighthRoot(Fraction(k, 8))
-    raise SnapFailure(f"{z!r} is not within tolerance of an eighth root")
+def _class_eighths(field: LocalField) -> tuple:
+    """gamma(a, psi0) in eighths for the classes (1, u, pi, u*pi)."""
+    p = field.p
+    if field.kind == "unram":
+        g = 4 if p % 4 == 1 else 0
+    else:
+        g = 0 if p % 4 == 1 else 6
+        if field.kind == "ram" and pow(2 * field._d_unit, (p - 1) // 2, p) != 1:
+            g = (g + 4) % 8
+    return (0, 4, g, g)
 
 
-@lru_cache(maxsize=None)
-def _gamma_of_class(field: LocalField, key: tuple, level: int) -> EighthRoot:
-    psi0 = standard_char(field)
-    pi_inv = field.uniformizer.inverse()
-    rep = SquareClass(field, key).rep
-    num = gauss_sum(psi0, rep * pi_inv, level)
-    den = gauss_sum(psi0, pi_inv, level)
-    return _snap_eighth((num / abs(num)) / (den / abs(den)))
-
-
-def weil_index(a: FieldElement, psi: AdditiveChar,
-               level: int = DEFAULT_LEVEL) -> EighthRoot:
+def weil_index(a: FieldElement, psi: AdditiveChar) -> EighthRoot:
     """gamma(a, psi): an eighth root of unity, constant on square classes.
 
     gamma(1, psi) = 1; for a unit u and the reference character, gamma is
@@ -278,10 +270,11 @@ def weil_index(a: FieldElement, psi: AdditiveChar,
         raise ZeroElement("index of the zero form is undefined")
     if a.field != psi.field:
         raise FieldMismatch("argument lies in a different field")
-    root = _gamma_of_class(psi.field, class_key(a), level)
-    if pair_class_keys(psi.field, class_key(a), class_key(psi.scale)) == -1:
-        root = root * EighthRoot(Fraction(1, 2))
-    return root
+    key = class_key(a)
+    eighths = _class_eighths(psi.field)[2 * key[0] + key[1]]
+    if pair_class_keys(psi.field, key, class_key(psi.scale)) == -1:
+        eighths += 4
+    return EighthRoot(Fraction(eighths, 8))
 
 
 def chi_psi_eval(z: FieldElement, eps: Sign, psi: AdditiveChar) -> EighthRoot:

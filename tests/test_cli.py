@@ -1,6 +1,8 @@
 """Spec parsing, report plumbing, and the command line surface."""
 
 import json
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -206,6 +208,20 @@ def test_cli_weil_value(capsys):
     rc, _, err = run_cli(capsys, "weil", "--field", "Qp(5)",
                          "--psi-scale", "5")
     assert rc == 2 and "psi-scale" in err
+
+
+def test_cli_weil_value_past_the_grid_limit(capsys):
+    rc, out, _ = run_cli(capsys, "weil", "--field", "Qp(331)",
+                         "--format", "text", "2")
+    assert (rc, out) == (0, "4/8\n")
+
+
+def test_cli_runs_without_numpy():
+    code = ("import sys; from kubota_meta.cli import main; "
+            "rc = main(['weil', '--field', 'Qp(5)', '--trials', '20']); "
+            "assert 'numpy' not in sys.modules; sys.exit(rc)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True)
+    assert proc.returncode == 0, proc.stderr.decode()[-500:]
 
 
 def test_cli_orbit(capsys):

@@ -17,8 +17,14 @@ from kubota_meta.errors import (
 )
 from kubota_meta.hilbert import hilbert
 from kubota_meta.kubota import Mat2, MetaElement, meta_mul
-from kubota_meta.local_field import make_field, square_class_reps, unit_part
+from kubota_meta.local_field import (
+    LocalField,
+    make_field,
+    square_class_reps,
+    unit_part,
+)
 from kubota_meta.weil import (
+    DEFAULT_LEVEL,
     AdditiveChar,
     EighthRoot,
     RootOfUnity,
@@ -29,7 +35,12 @@ from kubota_meta.weil import (
     standard_char,
     weil_index,
 )
-from oracles import gauss_sum_brute, integral_points
+from oracles import (
+    gauss_sum_brute,
+    integral_points,
+    legendre_enum,
+    residue_squares,
+)
 
 Q3 = make_field(3)
 Q5 = make_field(5)
@@ -204,6 +215,69 @@ def test_snapped_index_is_within_tolerance_of_the_raw_quotient(field):
         num = gauss_sum_brute(psi, c.rep * pi_inv, 2)
         q = (num / abs(num)) / (den / abs(den))
         assert abs(q - weil_index(c.rep, psi).complex_value) < 1e-9
+
+
+def _primes(lo, hi):
+    return [n for n in range(lo, hi) if all(n % q for q in range(2, n))]
+
+
+def _snap(z: complex) -> int:
+    """The k in 0..7 with z within 1e-9 of exp(2 pi i k / 8)."""
+    (k,) = [k for k in range(8) if abs(z - cmath.exp(2j * cmath.pi * k / 8)) < 1e-9]
+    return k
+
+
+TABLE_SWEEP = (
+    [make_field(p) for p in _primes(3, 60)]
+    + [make_field(p, ("ram", p * u)) for p in _primes(3, 24)
+       for u in range(1, 6) if u % p]
+    + [make_field(7, ("ram", "7/3")), make_field(5, ("ram", "-5/3"))]
+    + [make_field(p, ("unram", d)) for p, d in (
+        (3, 2), (3, -1), (3, 5), (5, 2), (5, 3), (5, "1/2"),
+        (7, 3), (7, -1), (7, 5))]
+)
+
+
+@pytest.mark.parametrize("field", TABLE_SWEEP, ids=LocalField.spec_string)
+def test_index_table_is_the_snapped_gauss_sum_quotient(field):
+    # gamma(a, psi0) = N(S(a-hat / pi)) / N(S(1 / pi)), computed numerically
+    psi = standard_char(field)
+    pi_inv = field.uniformizer.inverse()
+    den = gauss_sum(psi, pi_inv, DEFAULT_LEVEL)
+    for c in square_class_reps(field):
+        num = gauss_sum(psi, c.rep * pi_inv, DEFAULT_LEVEL)
+        q = (num / abs(num)) / (den / abs(den))
+        assert weil_index(c.rep, psi).eighths == _snap(q), c.label
+
+
+# fields whose residue grids are too large for gauss_sum
+PAST_GRID_LIMIT = [make_field(331), make_field(19, ("unram", 2)), make_field(100003)]
+
+
+@pytest.mark.parametrize("field", PAST_GRID_LIMIT, ids=LocalField.spec_string)
+def test_index_past_the_grid_limit(field):
+    psi = standard_char(field)
+    units = [field.elt(n) for n in range(2, 12)]
+    if field.kind == "unram":
+        units += [field.elt(m, 1) for m in range(6)]
+        squares = residue_squares(field.p, field.dbar)
+    for u in units:
+        r = unit_part(u)
+        if field.kind == "unram":
+            want = 1 if (r.r0, r.r1) in squares else -1
+        else:
+            want = legendre_enum(r.r0, field.p)
+        assert weil_index(u, psi).as_sign() == want, u
+    reps = [c.rep for c in square_class_reps(field)]
+    for a in reps:
+        for b in reps:
+            rhs = weil_index(a * b, psi)
+            if hilbert(a, b) == -1:
+                rhs = rhs * EighthRoot(Fraction(1, 2))
+            assert weil_index(a, psi) * weil_index(b, psi) == rhs
+    if field.kind == "base":
+        assert field.p % 4 == 3
+        assert weil_index(field.elt(field.p), psi).label == "6/8"
 
 
 def test_character_scaling_twists_by_a_symbol():
