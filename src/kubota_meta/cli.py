@@ -186,7 +186,6 @@ def _config(args, field_spec=None) -> RunConfig:
         trials=args.trials,
         seed=seed,
         height=args.height,
-        output=args.fmt,
         timings=args.timings,
     )
 
@@ -302,13 +301,18 @@ def _cmd_multiplicity_table(args) -> int:
             "field": args.field,
             "rows": rows,
         })
-    else:
+        return 0
+    header = ["S", "discrete", "m", "m1", "m2", "product"]
+    cells = [[r["S"], str(r["discrete"]).lower(), r["m"], r["m1"], r["m2"], r["product"]]
+             for r in rows]
+    if args.fmt == "csv":
         buf, w = _csv_writer()
-        w.writerow(["S", "discrete", "m", "m1", "m2", "product"])
-        for r in rows:
-            w.writerow([r["S"], str(r["discrete"]).lower(), r["m"], r["m1"],
-                        r["m2"], r["product"]])
+        w.writerow(header)
+        w.writerows(cells)
         sys.stdout.write(buf.getvalue())
+    else:
+        for row in cells:
+            _emit(" ".join(f"{k}={v}" for k, v in zip(header, row)))
     return 0
 
 
@@ -330,7 +334,7 @@ def _cmd_orbit(args) -> int:
 def _cmd_selftest_all(args) -> int:
     seed = args.seed if args.seed is not None else _default_seed()
     config = RunConfig(field_spec="Qp(3)", trials=args.trials, seed=seed,
-                       height=args.height, output=args.fmt, timings=args.timings)
+                       height=args.height, timings=args.timings)
     reports = selftest_reports(config)
     ok = all(r.passed for r in reports)
     if args.fmt == "json":

@@ -194,10 +194,6 @@ class LocalField:
         # residue field F_{p^2} always contains i; F_p does iff p = 1 mod 4
         return True if self.kind == "unram" else self.p % 4 == 1
 
-    @cached_property
-    def _sign_minus_one(self) -> int:
-        return 1 if self.minus_one_is_square else -1
-
     # -- formatting -----------------------------------------------------------
 
     def spec_string(self) -> str:

@@ -1,17 +1,30 @@
-"""Seeded randomized and exhaustive verification suites.
+"""Seeded randomized and exhaustive verification suites, as one check registry.
 
 The CLI subcommands and the acceptance tests both call `run_suite`, so a
 passing command line run and a passing test run mean literally the same
-checks.  Every randomized check draws from its own deterministic stream,
-seeded from (master seed, canonical field spec, check name); reports are
-therefore byte-stable for a fixed config and independent of check order.
+checks: the entries of `CHECKS`.  A check's suite is its name up to the
+first underscore.  Every randomized check draws from its own deterministic
+stream, seeded from (master seed, canonical field spec, check name);
+reports are therefore byte-stable for a fixed config and independent of
+check order.
+
+To add a check, write `_<suite>_<law>(run, case)` under its suite's heading:
+it returns None when the law holds and a witness string when it fails.
+`run` is the `_Run` of one field, holding the values all trials share.
+Register it with `@_check()` for a randomized check, called `trials` times
+with the check's own `SplitMix64` as `case`; or with `@_check(cases=f)` for
+an exhaustive one, called once per element of `f(run)`.  Pass
+`extension_only=True` to leave it out on base fields.  A new suite also
+needs its name in `SUITE_NAMES`.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import combinations, product, repeat
 
 from .branching import (
     NilpotentSl2,
@@ -79,13 +92,12 @@ MAX_WITNESSES = 3
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Knobs shared by every suite run; `output`/`timings` only shape reports."""
+    """Knobs shared by every suite run; `timings` only shapes reports."""
 
     field_spec: str
     trials: int = 1000
     seed: int = 0
     height: int = 50
-    output: str = "json"
     timings: bool = False
 
     def __post_init__(self):
@@ -93,8 +105,6 @@ class RunConfig:
             raise ValueError("trials must be at least 1")
         if self.height < 1:
             raise ValueError("height must be at least 1")
-        if self.output not in ("json", "csv", "text"):
-            raise ValueError(f"unknown output format {self.output!r}")
 
 
 @dataclass
@@ -146,21 +156,55 @@ class Report:
         }
 
 
-def _collect(name, cases, fn) -> CheckResult:
-    """Run fn over cases; fn returns None on pass, a witness string on failure."""
-    t0 = time.perf_counter()
-    trials = 0
-    failures = 0
-    witnesses = []
-    for case in cases:
-        trials += 1
-        w = fn(case)
-        if w is not None:
-            failures += 1
-            if len(witnesses) < MAX_WITNESSES:
-                witnesses.append(w)
-    return CheckResult(name, trials, failures, witnesses,
-                       (time.perf_counter() - t0) * 1000.0)
+@dataclass(frozen=True)
+class Check:
+    """One law: `holds(run, case)` is None on pass, a witness on failure.
+
+    With no `cases` the check is randomized: `config.trials` calls, each
+    given the check's own stream.  Otherwise it is exhaustive: one call per
+    element of `cases(run)`.
+    """
+
+    name: str
+    holds: Callable
+    cases: Callable | None = None
+    extension_only: bool = False
+
+    @property
+    def suite(self) -> str:
+        return self.name.split("_", 1)[0]
+
+
+CHECKS: list = []
+
+
+def _check(cases=None, extension_only=False):
+    """Register the decorated function in CHECKS under its own name."""
+    def register(holds):
+        CHECKS.append(Check(holds.__name__.lstrip("_"), holds, cases, extension_only))
+        return holds
+    return register
+
+
+def _once(run):
+    return range(1)
+
+
+class _Run:
+    """One field, the sampling height, and the values every trial of the run shares."""
+
+    def __init__(self, field: LocalField, config: RunConfig):
+        self.field = field
+        self.height = config.height
+        self.base = field.base()
+        self.minus_one = field.elt(-1)
+        self.reps = square_class_reps(field)
+        self.subgroups = class_subgroups(field)[1]
+        self.omega = omega_of(field)
+        self.psi = standard_char(field)
+        self.ident = MetaElement(Mat2.identity(field), 1)
+        # chi_psi(-1, +1) as a complex number: the central-sign reference
+        self.chi_minus_one = chi_psi_eval(self.minus_one, 1, self.psi).complex_value
 
 
 def _rng(field: LocalField, config: RunConfig, check_name: str) -> SplitMix64:
@@ -234,403 +278,278 @@ def rand_sign(rng) -> int:
 # cocycle suite
 
 
-def _suite_cocycle(field, config):
-    checks = []
-    H = config.height
+@_check()
+def _cocycle_identity(run, rng):
+    g1, g2, g3 = (rand_mat2(rng, run.field, run.height) for _ in range(3))
+    return None if check_cocycle(g1, g2, g3) else f"g1={g1!r} g2={g2!r} g3={g3!r}"
 
-    rng = _rng(field, config, "cocycle_identity")
 
-    def gl2_triple(_):
-        g1 = rand_mat2(rng, field, H)
-        g2 = rand_mat2(rng, field, H)
-        g3 = rand_mat2(rng, field, H)
-        if check_cocycle(g1, g2, g3):
-            return None
-        return f"g1={g1!r} g2={g2!r} g3={g3!r}"
+@_check()
+def _cocycle_sl2_triples(run, rng):
+    g1, g2, g3 = (rand_sl2(rng, run.field, run.height) for _ in range(3))
+    return None if check_cocycle(g1, g2, g3) else f"g1={g1!r} g2={g2!r} g3={g3!r}"
 
-    checks.append(_collect("cocycle_identity", range(config.trials), gl2_triple))
 
-    rng = _rng(field, config, "cocycle_sl2_triples")
+@_check()
+def _cocycle_borel_formula(run, rng):
+    g1 = rand_upper(rng, run.field, run.height)
+    g2 = rand_upper(rng, run.field, run.height)
+    expected = hilbert(g1.a, g2.d)
+    return None if beta(g1, g2) == expected else f"g1={g1!r} g2={g2!r} expected={expected}"
 
-    def sl2_triple(_):
-        g1 = rand_sl2(rng, field, H)
-        g2 = rand_sl2(rng, field, H)
-        g3 = rand_sl2(rng, field, H)
-        if check_cocycle(g1, g2, g3):
-            return None
-        return f"g1={g1!r} g2={g2!r} g3={g3!r}"
 
-    checks.append(_collect("cocycle_sl2_triples", range(config.trials), sl2_triple))
+@_check()
+def _cocycle_meta_group_laws(run, rng):
+    ident = run.ident
+    m = MetaElement(rand_mat2(rng, run.field, run.height), rand_sign(rng))
+    if meta_mul(ident, m) != m or meta_mul(m, ident) != m:
+        return f"identity law fails at {m!r}"
+    if meta_mul(m, meta_inv(m)) != ident or meta_mul(meta_inv(m), m) != ident:
+        return f"inverse law fails at {m!r}"
+    return None
 
-    rng = _rng(field, config, "cocycle_borel_formula")
 
-    def borel_pair(_):
-        g1 = rand_upper(rng, field, H)
-        g2 = rand_upper(rng, field, H)
-        expected = hilbert(g1.a, g2.d)
-        if beta(g1, g2) == expected:
-            return None
-        return f"g1={g1!r} g2={g2!r} expected={expected}"
-
-    checks.append(_collect("cocycle_borel_formula", range(config.trials), borel_pair))
-
-    rng = _rng(field, config, "cocycle_meta_group_laws")
-    ident = MetaElement(Mat2.identity(field), 1)
-
-    def group_laws(_):
-        g = rand_mat2(rng, field, H)
-        m = MetaElement(g, rand_sign(rng))
-        if meta_mul(ident, m) != m or meta_mul(m, ident) != m:
-            return f"identity law fails at {m!r}"
-        if meta_mul(m, meta_inv(m)) != ident or meta_mul(meta_inv(m), m) != ident:
-            return f"inverse law fails at {m!r}"
-        return None
-
-    checks.append(_collect("cocycle_meta_group_laws", range(config.trials), group_laws))
-
-    rng = _rng(field, config, "cocycle_commutator_center")
-
-    def commutator(_):
-        z = rand_element(rng, field, H, nonzero=True)
-        g = rand_mat2(rng, field, H)
-        got = commutator_pairing(z, g)
-        expected = hilbert(z, g.det)
-        if got == expected:
-            return None
-        return f"z={z!r} g={g!r} got={got} expected={expected}"
-
-    checks.append(_collect("cocycle_commutator_center", range(config.trials), commutator))
-    return checks
+@_check()
+def _cocycle_commutator_center(run, rng):
+    z = rand_element(rng, run.field, run.height, nonzero=True)
+    g = rand_mat2(rng, run.field, run.height)
+    got = commutator_pairing(z, g)
+    expected = hilbert(z, g.det)
+    return None if got == expected else f"z={z!r} g={g!r} got={got} expected={expected}"
 
 
 # ---------------------------------------------------------------------------
 # split suite (extensions only: the rational subgroup of GL2 over the base)
 
 
-def _suite_split(field, config):
-    if not field.is_extension:
-        raise BaseFieldInput(
-            f"split suite needs a quadratic extension, got {field.spec_string()}"
-        )
-    checks = []
-    H = config.height
+@_check(extension_only=True)
+def _split_gl2f(run, rng):
+    g1 = rand_mat2(rng, run.field, run.height, f_rational=True)
+    g2 = rand_mat2(rng, run.field, run.height, f_rational=True)
+    return None if is_split_on_GL2F(g1, g2) else f"g1={g1!r} g2={g2!r}"
 
-    rng = _rng(field, config, "split_gl2f")
 
-    def f_rational_pair(_):
-        g1 = rand_mat2(rng, field, H, f_rational=True)
-        g2 = rand_mat2(rng, field, H, f_rational=True)
-        if is_split_on_GL2F(g1, g2):
-            return None
-        return f"g1={g1!r} g2={g2!r}"
-
-    checks.append(_collect("split_gl2f", range(config.trials), f_rational_pair))
-
-    rng = _rng(field, config, "split_unipotent")
-    one = field.one()
-
-    def unipotent_pair(_):
-        n1 = Mat2(field, one, rand_element(rng, field, H), field.zero(), one)
-        n2 = Mat2(field, one, rand_element(rng, field, H), field.zero(), one)
-        if beta(n1, n2) == 1:
-            return None
-        return f"n1={n1!r} n2={n2!r}"
-
-    checks.append(_collect("split_unipotent", range(config.trials), unipotent_pair))
-    return checks
+@_check(extension_only=True)
+def _split_unipotent(run, rng):
+    field = run.field
+    one, zero = field.one(), field.zero()
+    n1 = Mat2(field, one, rand_element(rng, field, run.height), zero, one)
+    n2 = Mat2(field, one, rand_element(rng, field, run.height), zero, one)
+    return None if beta(n1, n2) == 1 else f"n1={n1!r} n2={n2!r}"
 
 
 # ---------------------------------------------------------------------------
 # hilbert suite
 
 
-def _suite_hilbert(field, config):
-    checks = []
-    H = config.height
-
-    rng = _rng(field, config, "hilbert_bilinear")
-
-    def bilinear(_):
-        x1 = rand_element(rng, field, H, nonzero=True)
-        x2 = rand_element(rng, field, H, nonzero=True)
-        y = rand_element(rng, field, H, nonzero=True)
-        if hilbert(x1 * x2, y) == hilbert(x1, y) * hilbert(x2, y):
-            return None
-        return f"x1={x1!r} x2={x2!r} y={y!r}"
-
-    checks.append(_collect("hilbert_bilinear", range(config.trials), bilinear))
-
-    rng = _rng(field, config, "hilbert_symmetric")
-
-    def symmetric(_):
-        x = rand_element(rng, field, H, nonzero=True)
-        y = rand_element(rng, field, H, nonzero=True)
-        if hilbert(x, y) == hilbert(y, x):
-            return None
-        return f"x={x!r} y={y!r}"
-
-    checks.append(_collect("hilbert_symmetric", range(config.trials), symmetric))
-
-    rng = _rng(field, config, "hilbert_square_class_invariance")
-
-    def class_invariance(_):
-        x = rand_element(rng, field, H, nonzero=True)
-        y = rand_element(rng, field, H, nonzero=True)
-        s = rand_element(rng, field, H, nonzero=True)
-        t = rand_element(rng, field, H, nonzero=True)
-        if hilbert(x * s * s, y * t * t) == hilbert(x, y):
-            return None
-        return f"x={x!r} y={y!r} s={s!r} t={t!r}"
-
-    checks.append(
-        _collect("hilbert_square_class_invariance", range(config.trials), class_invariance)
-    )
-
-    rng = _rng(field, config, "hilbert_steinberg")
-
-    def steinberg(_):
-        x = rand_element(rng, field, H, nonzero=True)
-        if hilbert(x, -x) != 1:
-            return f"x={x!r} pairs nontrivially with -x"
-        if x != field.one() and hilbert(x, field.one() - x) != 1:
-            return f"x={x!r} pairs nontrivially with 1-x"
+@_check()
+def _hilbert_bilinear(run, rng):
+    x1, x2, y = (rand_element(rng, run.field, run.height, nonzero=True) for _ in range(3))
+    if hilbert(x1 * x2, y) == hilbert(x1, y) * hilbert(x2, y):
         return None
+    return f"x1={x1!r} x2={x2!r} y={y!r}"
 
-    checks.append(_collect("hilbert_steinberg", range(config.trials), steinberg))
 
-    def nondegenerate(row):
-        table = pairing_table(field)
-        reps = square_class_reps(field)
-        values = [table[row][j] for j in range(4)]
-        if row == 0:
-            return None if all(v == 1 for v in values) else f"row {reps[row]!r}: {values}"
-        if any(v == -1 for v in values):
-            return None
-        return f"row {reps[row]!r} pairs trivially with every class: {values}"
+@_check()
+def _hilbert_symmetric(run, rng):
+    x, y = (rand_element(rng, run.field, run.height, nonzero=True) for _ in range(2))
+    return None if hilbert(x, y) == hilbert(y, x) else f"x={x!r} y={y!r}"
 
-    checks.append(_collect("hilbert_nondegenerate", range(4), nondegenerate))
 
-    if field.is_extension:
-        base = field.base()
-        rng = _rng(field, config, "hilbert_f_pairs_trivial")
+@_check()
+def _hilbert_square_class_invariance(run, rng):
+    x, y, s, t = (rand_element(rng, run.field, run.height, nonzero=True) for _ in range(4))
+    if hilbert(x * s * s, y * t * t) == hilbert(x, y):
+        return None
+    return f"x={x!r} y={y!r} s={s!r} t={t!r}"
 
-        def f_pair(_):
-            a = rand_element(rng, base, H, nonzero=True)
-            b = rand_element(rng, base, H, nonzero=True)
-            got = hilbert(embed_base(a, field), embed_base(b, field))
-            if got == 1:
-                return None
-            return f"a={a!r} b={b!r} got={got}"
 
-        checks.append(_collect("hilbert_f_pairs_trivial", range(config.trials), f_pair))
+@_check()
+def _hilbert_steinberg(run, rng):
+    x = rand_element(rng, run.field, run.height, nonzero=True)
+    one = run.field.one()
+    if hilbert(x, -x) != 1:
+        return f"x={x!r} pairs nontrivially with -x"
+    if x != one and hilbert(x, one - x) != 1:
+        return f"x={x!r} pairs nontrivially with 1-x"
+    return None
 
-        rng = _rng(field, config, "hilbert_norm_compat")
 
-        def norm_compat(_):
-            a = rand_element(rng, base, H, nonzero=True)
-            b = rand_element(rng, field, H, nonzero=True)
-            via_norm = hilbert_via_norm(a, b)
-            direct = hilbert(embed_base(a, field), b)
-            if via_norm == direct:
-                return None
-            return f"a={a!r} b={b!r} via_norm={via_norm} direct={direct}"
+@_check(cases=lambda run: range(4))
+def _hilbert_nondegenerate(run, row):
+    values = list(pairing_table(run.field)[row])
+    if row == 0:
+        return None if all(v == 1 for v in values) else f"row {run.reps[row]!r}: {values}"
+    if any(v == -1 for v in values):
+        return None
+    return f"row {run.reps[row]!r} pairs trivially with every class: {values}"
 
-        checks.append(_collect("hilbert_norm_compat", range(config.trials), norm_compat))
 
-    return checks
+@_check(extension_only=True)
+def _hilbert_f_pairs_trivial(run, rng):
+    a, b = (rand_element(rng, run.base, run.height, nonzero=True) for _ in range(2))
+    got = hilbert(embed_base(a, run.field), embed_base(b, run.field))
+    return None if got == 1 else f"a={a!r} b={b!r} got={got}"
+
+
+@_check(extension_only=True)
+def _hilbert_norm_compat(run, rng):
+    a = rand_element(rng, run.base, run.height, nonzero=True)
+    b = rand_element(rng, run.field, run.height, nonzero=True)
+    via_norm = hilbert_via_norm(a, b)
+    direct = hilbert(embed_base(a, run.field), b)
+    if via_norm == direct:
+        return None
+    return f"a={a!r} b={b!r} via_norm={via_norm} direct={direct}"
 
 
 # ---------------------------------------------------------------------------
 # omega suite
 
 
-def _suite_omega(field, config):
-    checks = []
-    H = config.height
-    omega = omega_of(field)
-    reps = square_class_reps(field)
+@_check(cases=_once)
+def _omega_torsor_shape(run, _):
+    omega = run.omega
+    if len(omega) != 4:
+        return f"expected 4 genuine characters, got {len(omega)}"
+    if len({ch.twist for ch in omega}) != 4:
+        return "twists are not pairwise distinct"
+    for ch in omega:
+        if conjugate_char(ch, run.field.one()) != ch:
+            return f"conjugating {ch!r} by 1 moved it"
+    return None
 
-    def torsor_shape(_):
-        if len(omega) != 4:
-            return f"expected 4 genuine characters, got {len(omega)}"
-        if len({ch.twist for ch in omega}) != 4:
-            return "twists are not pairwise distinct"
-        for ch in omega:
-            if conjugate_char(ch, field.one()) != ch:
-                return f"conjugating {ch!r} by 1 moved it"
-        return None
 
-    checks.append(_collect("omega_torsor_shape", range(1), torsor_shape))
+@_check(cases=lambda run: run.omega)
+def _omega_twist_action(run, ch):
+    seen = set()
+    for a in run.reps:
+        moved = conjugate_char(ch, a.rep)
+        if moved not in run.omega:
+            return f"conjugate of {ch!r} by {a!r} left the set"
+        seen.add(moved)
+        for b in run.reps:
+            if conjugate_char(moved, b.rep) != conjugate_char(ch, a.rep * b.rep):
+                return f"action not compatible at ch={ch!r} a={a!r} b={b!r}"
+    if len(seen) != 4:
+        return f"orbit of {ch!r} has size {len(seen)}, not 4"
+    return None
 
-    def twist_action(ch):
-        seen = set()
-        for a in reps:
-            moved = conjugate_char(ch, a.rep)
-            if moved not in omega:
-                return f"conjugate of {ch!r} by {a!r} left the set"
-            seen.add(moved)
-            for b in reps:
-                if conjugate_char(moved, b.rep) != conjugate_char(ch, a.rep * b.rep):
-                    return f"action not compatible at ch={ch!r} a={a!r} b={b!r}"
-        if len(seen) != 4:
-            return f"orbit of {ch!r} has size {len(seen)}, not 4"
-        return None
 
-    checks.append(_collect("omega_twist_action", list(omega), twist_action))
+@_check()
+def _omega_chi_quadratic(run, rng):
+    a, x, y = (rand_element(rng, run.field, run.height, nonzero=True) for _ in range(3))
+    if chi_a_eval(a, x * y) != chi_a_eval(a, x) * chi_a_eval(a, y):
+        return f"chi_a not multiplicative at a={a!r} x={x!r} y={y!r}"
+    if chi_a_eval(a, x * x) != 1:
+        return f"chi_a nontrivial on a square at a={a!r} x={x!r}"
+    if chi_a_eval(a * x * x, y) != chi_a_eval(a, y):
+        return f"chi_a sees more than the class of a at a={a!r} x={x!r} y={y!r}"
+    return None
 
-    rng = _rng(field, config, "omega_chi_quadratic")
 
-    def chi_quadratic(_):
-        a = rand_element(rng, field, H, nonzero=True)
-        x = rand_element(rng, field, H, nonzero=True)
-        y = rand_element(rng, field, H, nonzero=True)
-        if chi_a_eval(a, x * y) != chi_a_eval(a, x) * chi_a_eval(a, y):
-            return f"chi_a not multiplicative at a={a!r} x={x!r} y={y!r}"
-        if chi_a_eval(a, x * x) != 1:
-            return f"chi_a nontrivial on a square at a={a!r} x={x!r}"
-        if chi_a_eval(a * x * x, y) != chi_a_eval(a, y):
-            return f"chi_a sees more than the class of a at a={a!r} x={x!r} y={y!r}"
-        return None
+@_check(cases=_once, extension_only=True)
+def _omega_image_subgroup(run, _):
+    image = f_image_classes(run.field)
+    if len(image) != 2:
+        return f"norm-trivial image has order {len(image)}, expected 2"
+    keys = {cls.key for cls in image}
+    if (0, 0) not in keys:
+        return "image misses the identity class"
+    for u in image:
+        for v in image:
+            if (u * v).key not in keys:
+                return f"image not closed under product at {u!r}*{v!r}"
+    return None
 
-    checks.append(_collect("omega_chi_quadratic", range(config.trials), chi_quadratic))
 
-    if field.is_extension:
-        def image_subgroup(_):
-            image = f_image_classes(field)
-            if len(image) != 2:
-                return f"norm-trivial image has order {len(image)}, expected 2"
-            keys = {cls.key for cls in image}
-            if (0, 0) not in keys:
-                return "image misses the identity class"
-            for u in image:
-                for v in image:
-                    if (u * v).key not in keys:
-                        return f"image not closed under product at {u!r}*{v!r}"
-            return None
-
-        checks.append(_collect("omega_image_subgroup", range(1), image_subgroup))
-
-        def index_agreement(_):
-            idx = index_FEsq(field)
-            agreeing = count_agreeing_extensions(field)
-            if idx != 2:
-                return f"index of F-classes inside E-classes is {idx}, expected 2"
-            if agreeing != 2:
-                return f"{agreeing} characters agree on the F-image, expected 2"
-            return None
-
-        checks.append(_collect("omega_index_agreement", range(1), index_agreement))
-
-    return checks
+@_check(cases=_once, extension_only=True)
+def _omega_index_agreement(run, _):
+    idx = index_FEsq(run.field)
+    agreeing = count_agreeing_extensions(run.field)
+    if idx != 2:
+        return f"index of F-classes inside E-classes is {idx}, expected 2"
+    if agreeing != 2:
+        return f"{agreeing} characters agree on the F-image, expected 2"
+    return None
 
 
 # ---------------------------------------------------------------------------
 # weil suite
 
 
-def _suite_weil(field, config):
-    checks = []
-    H = config.height
-    psi = standard_char(field)
-    reps = square_class_reps(field)
-    pi = field.uniformizer
+@_check()
+def _weil_conductor(run, rng):
+    field, psi, pi = run.field, run.psi, run.field.uniformizer
+    x = rand_element(rng, field, run.height, nonzero=True)
+    unit = x * pi ** (-valuation(x))
+    if psi_eval(psi, unit) != psi_eval(psi, field.zero()):
+        return f"psi nontrivial on a unit from x={x!r}"
+    if psi_eval(psi, unit * pi) != psi_eval(psi, field.zero()):
+        return f"psi nontrivial at valuation 1 from x={x!r}"
+    y = rand_element(rng, field, run.height)
+    if psi_eval(psi, x + y) != psi_eval(psi, x) * psi_eval(psi, y):
+        return f"psi not additive at x={x!r} y={y!r}"
+    if psi_eval(psi, field.one() / pi).is_one():
+        return "psi trivial one level below the integers"
+    return None
 
-    rng = _rng(field, config, "weil_conductor")
 
-    def conductor(_):
-        x = rand_element(rng, field, H, nonzero=True)
-        unit = x * pi ** (-valuation(x))
-        if psi_eval(psi, unit) != psi_eval(psi, field.zero()):
-            return f"psi nontrivial on a unit from x={x!r}"
-        if psi_eval(psi, unit * pi) != psi_eval(psi, field.zero()):
-            return f"psi nontrivial at valuation 1 from x={x!r}"
-        y = rand_element(rng, field, H)
-        if psi_eval(psi, x + y) != psi_eval(psi, x) * psi_eval(psi, y):
-            return f"psi not additive at x={x!r} y={y!r}"
-        if psi_eval(psi, field.one() / pi).is_one():
-            return "psi trivial one level below the integers"
+@_check()
+def _weil_square_class_invariance(run, rng):
+    a, t = (rand_element(rng, run.field, run.height, nonzero=True) for _ in range(2))
+    if weil_index(a * t * t, run.psi) == weil_index(a, run.psi):
         return None
+    return f"a={a!r} t={t!r}"
 
-    checks.append(_collect("weil_conductor", range(config.trials), conductor))
 
-    rng = _rng(field, config, "weil_square_class_invariance")
+@_check()
+def _weil_unit_euler_sign(run, rng):
+    u = rand_unit(rng, run.field, run.height)
+    got = weil_index(u, run.psi).as_sign()
+    expected = unit_part(u).euler_sign()
+    return None if got == expected else f"u={u!r} got={got} expected={expected}"
 
-    def class_invariance(_):
-        a = rand_element(rng, field, H, nonzero=True)
-        t = rand_element(rng, field, H, nonzero=True)
-        if weil_index(a * t * t, psi) == weil_index(a, psi):
-            return None
-        return f"a={a!r} t={t!r}"
 
-    checks.append(
-        _collect("weil_square_class_invariance", range(config.trials), class_invariance)
-    )
+@_check(cases=lambda run: product(run.reps, repeat=2))
+def _weil_product_relation(run, pair):
+    a, b = pair
+    lhs = weil_index(a.rep, run.psi) * weil_index(b.rep, run.psi)
+    rhs = weil_index(a.rep * b.rep, run.psi)
+    if hilbert(a.rep, b.rep) == -1:
+        rhs = rhs * EighthRoot(Fraction(1, 2))
+    return None if lhs == rhs else f"a={a!r} b={b!r} lhs={lhs!r} rhs={rhs!r}"
 
-    rng = _rng(field, config, "weil_unit_euler_sign")
 
-    def unit_euler(_):
-        u = rand_unit(rng, field, H)
-        got = weil_index(u, psi).as_sign()
-        expected = unit_part(u).euler_sign()
-        if got == expected:
-            return None
-        return f"u={u!r} got={got} expected={expected}"
+@_check(cases=_once)
+def _weil_chi_genuine(run, _):
+    plus = chi_psi_eval(run.field.one(), 1, run.psi)
+    minus = chi_psi_eval(run.field.one(), -1, run.psi)
+    if minus != plus * EighthRoot(Fraction(1, 2)):
+        return f"chi_psi not genuine: chi(1,+1)={plus!r} chi(1,-1)={minus!r}"
+    return None
 
-    checks.append(_collect("weil_unit_euler_sign", range(config.trials), unit_euler))
 
-    pairs = [(a, b) for a in reps for b in reps]
-
-    def product_relation(pair):
-        a, b = pair
-        lhs = weil_index(a.rep, psi) * weil_index(b.rep, psi)
-        rhs = weil_index(a.rep * b.rep, psi)
-        if hilbert(a.rep, b.rep) == -1:
-            rhs = rhs * EighthRoot(Fraction(1, 2))
-        if lhs == rhs:
-            return None
-        return f"a={a!r} b={b!r} lhs={lhs!r} rhs={rhs!r}"
-
-    checks.append(_collect("weil_product_relation", pairs, product_relation))
-
-    def chi_genuine(_):
-        plus = chi_psi_eval(field.one(), 1, psi)
-        minus = chi_psi_eval(field.one(), -1, psi)
-        if minus != plus * EighthRoot(Fraction(1, 2)):
-            return f"chi_psi not genuine: chi(1,+1)={plus!r} chi(1,-1)={minus!r}"
+@_check()
+def _weil_chi_multiplicative(run, rng):
+    z1, z2 = (rand_element(rng, run.field, run.height, nonzero=True) for _ in range(2))
+    m1 = MetaElement(Mat2.diag(z1, z1), rand_sign(rng))
+    m2 = MetaElement(Mat2.diag(z2, z2), rand_sign(rng))
+    prod = meta_mul(m1, m2)
+    lhs = chi_psi_eval(z1, m1.eps, run.psi) * chi_psi_eval(z2, m2.eps, run.psi)
+    rhs = chi_psi_eval(prod.g.a, prod.eps, run.psi)
+    if lhs == rhs:
         return None
+    return f"z1={z1!r} z2={z2!r} eps=({m1.eps},{m2.eps}) lhs={lhs!r} rhs={rhs!r}"
 
-    checks.append(_collect("weil_chi_genuine", range(1), chi_genuine))
 
-    rng = _rng(field, config, "weil_chi_multiplicative")
-
-    def chi_multiplicative(_):
-        z1 = rand_element(rng, field, H, nonzero=True)
-        z2 = rand_element(rng, field, H, nonzero=True)
-        m1 = MetaElement(Mat2.diag(z1, z1), rand_sign(rng))
-        m2 = MetaElement(Mat2.diag(z2, z2), rand_sign(rng))
-        prod = meta_mul(m1, m2)
-        lhs = chi_psi_eval(z1, m1.eps, psi) * chi_psi_eval(z2, m2.eps, psi)
-        rhs = chi_psi_eval(prod.g.a, prod.eps, psi)
-        if lhs == rhs:
-            return None
-        return f"z1={z1!r} z2={z2!r} eps=({m1.eps},{m2.eps}) lhs={lhs!r} rhs={rhs!r}"
-
-    checks.append(_collect("weil_chi_multiplicative", range(config.trials), chi_multiplicative))
-
-    rng = _rng(field, config, "weil_central_sign_twist")
-    ref = chi_psi_eval(field.elt(-1), 1, psi).complex_value
-
-    def central_twist(_):
-        s = rand_sign(rng)
-        x = rand_element(rng, field, H, nonzero=True)
-        twist = hilbert(x, field.elt(-1))
-        got = central_sign(s * twist * ref, psi)
-        if got == s * twist:
-            return None
-        return f"s={s} x={x!r} got={got}"
-
-    checks.append(_collect("weil_central_sign_twist", range(config.trials), central_twist))
-    return checks
+@_check()
+def _weil_central_sign_twist(run, rng):
+    s = rand_sign(rng)
+    x = rand_element(rng, run.field, run.height, nonzero=True)
+    twist = hilbert(x, run.minus_one)
+    got = central_sign(s * twist * run.chi_minus_one, run.psi)
+    return None if got == s * twist else f"s={s} x={x!r} got={got}"
 
 
 # ---------------------------------------------------------------------------
@@ -647,177 +566,169 @@ def class_subgroups(field):
     return classes, subs
 
 
-def _suite_packets(field, config):
-    checks = []
-    H = config.height
-    psi = standard_char(field)
-    minus_one = field.elt(-1)
-    classes, subgroups = class_subgroups(field)
+def _pairs_plus(run, cls) -> bool:
+    return hilbert(cls.rep, run.minus_one) == 1
 
-    def pairs_plus(cls):
-        return hilbert(cls.rep, minus_one) == 1
 
-    model_cases = [(S, discrete) for S in subgroups for discrete in (True, False)]
-
-    def model_arithmetic(case):
-        S, discrete = case
-        valid = discrete or all(pairs_plus(a) for a in S)
-        if not valid:
-            try:
-                TauTwistModel(field, S, discrete)
-            except ValueError:
-                return None
-            return f"principal-series model with self-twists off the kernel accepted (|S|={len(S)})"
-        model = TauTwistModel(field, S, discrete)
-        m = multiplicity(model)
-        if m not in (1, 2, 4):
-            return f"multiplicity {m} outside {{1,2,4}} for |S|={len(S)} discrete={discrete}"
-        if m != sum(1 for a in S if pairs_plus(a)):
-            return f"multiplicity {m} disagrees with the kernel count for |S|={len(S)}"
-        out = packet_product(model)
-        if out["m2"] != len(S):
-            return f"m2={out['m2']} but |S|={len(S)}"
-        expected = 8 if discrete else 4
-        if out["m1"] * out["m2"] != expected or out["product"] != expected:
-            return f"size product {out} for |S|={len(S)} discrete={discrete}"
-        return None
-
-    checks.append(_collect("packets_model_arithmetic", model_cases, model_arithmetic))
-
-    discrete_models = [TauTwistModel(field, S, True) for S in subgroups]
-
-    def waldspurger_flags(model):
-        for cls in classes:
-            expected = cls in model.S and not pairs_plus(cls)
-            if is_waldspurger_conjugate(model, cls) != expected:
-                return f"flag mismatch at |S|={len(model.S)} a={cls!r}"
-        return None
-
-    checks.append(_collect("packets_waldspurger_flags", discrete_models, waldspurger_flags))
-
-    def not_discrete_guard(_):
-        model = TauTwistModel(field, subgroups[0], False)
+@_check(cases=lambda run: product(run.subgroups, (True, False)))
+def _packets_model_arithmetic(run, case):
+    S, discrete = case
+    field = run.field
+    valid = discrete or all(_pairs_plus(run, a) for a in S)
+    if not valid:
         try:
-            is_waldspurger_conjugate(model, classes[0])
-        except NotDiscrete:
+            TauTwistModel(field, S, discrete)
+        except ValueError:
             return None
-        return "principal-series model accepted by the discrete-only predicate"
+        return f"principal-series model with self-twists off the kernel accepted (|S|={len(S)})"
+    model = TauTwistModel(field, S, discrete)
+    m = multiplicity(model)
+    if m not in (1, 2, 4):
+        return f"multiplicity {m} outside {{1,2,4}} for |S|={len(S)} discrete={discrete}"
+    if m != sum(1 for a in S if _pairs_plus(run, a)):
+        return f"multiplicity {m} disagrees with the kernel count for |S|={len(S)}"
+    out = packet_product(model)
+    if out["m2"] != len(S):
+        return f"m2={out['m2']} but |S|={len(S)}"
+    expected = 8 if discrete else 4
+    if out["m1"] * out["m2"] != expected or out["product"] != expected:
+        return f"size product {out} for |S|={len(S)} discrete={discrete}"
+    return None
 
-    checks.append(_collect("packets_not_discrete_guard", range(1), not_discrete_guard))
 
-    def complementary(case):
-        support = frozenset(case)
-        if not field.minus_one_is_square:
-            try:
-                complementary_support(support, field)
-            except MinusOneNotSquare:
-                return None
-            return "complementary support defined although -1 is not a square"
-        if len(support) != 2:
-            try:
-                complementary_support(support, field)
-            except NotACoset:
-                return None
-            return f"support of size {len(support)} accepted"
-        b = complementary_support(support, field)
-        shifted = frozenset(b * c for c in support)
-        if shifted & support:
-            return f"support {sorted(c.label for c in support)} not moved off itself"
-        if shifted | support != frozenset(classes):
-            return f"translate of {sorted(c.label for c in support)} misses classes"
+@_check(cases=lambda run: [TauTwistModel(run.field, S, True) for S in run.subgroups])
+def _packets_waldspurger_flags(run, model):
+    for cls in run.reps:
+        expected = cls in model.S and not _pairs_plus(run, cls)
+        if is_waldspurger_conjugate(model, cls) != expected:
+            return f"flag mismatch at |S|={len(model.S)} a={cls!r}"
+    return None
+
+
+@_check(cases=_once)
+def _packets_not_discrete_guard(run, _):
+    model = TauTwistModel(run.field, run.subgroups[0], False)
+    try:
+        is_waldspurger_conjugate(model, run.reps[0])
+    except NotDiscrete:
         return None
+    return "principal-series model accepted by the discrete-only predicate"
 
-    pair_cases = [[classes[i], classes[j]] for i in range(4) for j in range(i + 1, 4)]
-    pair_cases.append(list(classes))
-    pair_cases.append([classes[0]])
-    checks.append(_collect("packets_complementary_partition", pair_cases, complementary))
 
-    def sign_chain(case):
-        b, seed = case
-        if field.minus_one_is_square:
-            try:
-                epsilon_sign_chain(field, b, seed)
-            except MinusOneIsSquare:
-                return None
-            return "sign chain defined although -1 is a square"
-        if b.key[0] != 1:
-            try:
-                epsilon_sign_chain(field, b, seed)
-            except NotRamifiedClass:
-                return None
-            return f"even-valuation twist {b!r} accepted"
-        out = epsilon_sign_chain(field, b, seed)
-        if not out["holds"]:
-            return f"alternation fails for b={b!r} seed={seed}"
-        assignment = out["assignment"]
-        if assignment[out["order"][0]] != seed:
-            return f"seed not honored for b={b!r} seed={seed}"
-        if sorted(assignment.values()) != [-1, -1, 1, 1]:
-            return f"signs unbalanced for b={b!r} seed={seed}"
+@_check(cases=lambda run: [*combinations(run.reps, 2), run.reps, run.reps[:1]])
+def _packets_complementary_partition(run, case):
+    field = run.field
+    support = frozenset(case)
+    if not field.minus_one_is_square:
+        try:
+            complementary_support(support, field)
+        except MinusOneNotSquare:
+            return None
+        return "complementary support defined although -1 is not a square"
+    if len(support) != 2:
+        try:
+            complementary_support(support, field)
+        except NotACoset:
+            return None
+        return f"support of size {len(support)} accepted"
+    b = complementary_support(support, field)
+    shifted = frozenset(b * c for c in support)
+    if shifted & support:
+        return f"support {sorted(c.label for c in support)} not moved off itself"
+    if shifted | support != frozenset(run.reps):
+        return f"translate of {sorted(c.label for c in support)} misses classes"
+    return None
+
+
+@_check(cases=lambda run: product(run.reps, (1, -1)))
+def _packets_epsilon_sign_chain(run, case):
+    b, seed = case
+    field = run.field
+    if field.minus_one_is_square:
+        try:
+            epsilon_sign_chain(field, b, seed)
+        except MinusOneIsSquare:
+            return None
+        return "sign chain defined although -1 is a square"
+    if b.key[0] != 1:
+        try:
+            epsilon_sign_chain(field, b, seed)
+        except NotRamifiedClass:
+            return None
+        return f"even-valuation twist {b!r} accepted"
+    out = epsilon_sign_chain(field, b, seed)
+    if not out["holds"]:
+        return f"alternation fails for b={b!r} seed={seed}"
+    assignment = out["assignment"]
+    if assignment[out["order"][0]] != seed:
+        return f"seed not honored for b={b!r} seed={seed}"
+    if sorted(assignment.values()) != [-1, -1, 1, 1]:
+        return f"signs unbalanced for b={b!r} seed={seed}"
+    return None
+
+
+@_check()
+def _packets_whittaker_trace(run, rng):
+    a = rand_element(rng, run.field, run.height, nonzero=True)
+    x = rand_element(rng, run.field, run.height)
+    got = whittaker_datum_eval(a, x, run.psi)
+    if got == psi_eval(run.psi, a * x) and got == psi_eval(run.psi.scaled(a), x):
         return None
+    return f"a={a!r} x={x!r}"
 
-    chain_cases = [(c, seed) for c in classes for seed in (1, -1)]
-    checks.append(_collect("packets_epsilon_sign_chain", chain_cases, sign_chain))
 
-    rng = _rng(field, config, "packets_whittaker_trace")
+@_check()
+def _packets_orbit_conjugation(run, rng):
+    a = rand_element(rng, run.field, run.height, nonzero=True)
+    y = NilpotentSl2.lower(a)
+    g = rand_sl2(rng, run.field, run.height)
+    got = orbit_invariant(y.conjugate_by(g))
+    return None if got == square_class(a) else f"a={a!r} g={g!r} got={got!r}"
 
-    def whittaker_trace(_):
-        a = rand_element(rng, field, H, nonzero=True)
-        x = rand_element(rng, field, H)
-        got = whittaker_datum_eval(a, x, psi)
-        if got == psi_eval(psi, a * x) and got == psi_eval(psi.scaled(a), x):
-            return None
-        return f"a={a!r} x={x!r}"
 
-    checks.append(_collect("packets_whittaker_trace", range(config.trials), whittaker_trace))
-
-    rng = _rng(field, config, "packets_orbit_conjugation")
-
-    def orbit_conjugation(_):
-        a = rand_element(rng, field, H, nonzero=True)
-        y = NilpotentSl2.lower(a)
-        g = rand_sl2(rng, field, H)
-        got = orbit_invariant(y.conjugate_by(g))
-        if got == square_class(a):
-            return None
-        return f"a={a!r} g={g!r} got={got!r}"
-
-    checks.append(_collect("packets_orbit_conjugation", range(config.trials), orbit_conjugation))
-
-    def orbit_bijection(_):
-        seen = {orbit_invariant(NilpotentSl2.lower(c.rep)) for c in classes}
-        if len(seen) == 4:
-            return None
-        return f"lower-triangular orbits only reach {len(seen)} classes"
-
-    checks.append(_collect("packets_orbit_bijection", range(1), orbit_bijection))
-    return checks
+@_check(cases=_once)
+def _packets_orbit_bijection(run, _):
+    seen = {orbit_invariant(NilpotentSl2.lower(c.rep)) for c in run.reps}
+    if len(seen) == 4:
+        return None
+    return f"lower-triangular orbits only reach {len(seen)} classes"
 
 
 # ---------------------------------------------------------------------------
 # dispatch
 
-_SUITE_FNS = {
-    "cocycle": _suite_cocycle,
-    "split": _suite_split,
-    "hilbert": _suite_hilbert,
-    "omega": _suite_omega,
-    "weil": _suite_weil,
-    "packets": _suite_packets,
-}
-
 
 def run_suite(config: RunConfig, suite: str) -> Report:
-    if suite != "all" and suite not in _SUITE_FNS:
+    if suite != "all" and suite not in SUITE_NAMES:
         raise ValueError(f"unknown suite {suite!r}; expected one of {SUITE_NAMES + ('all',)}")
     field = parse_field_spec(config.field_spec)
-    if suite == "all":
-        names = [s for s in SUITE_NAMES if s != "split" or field.is_extension]
-    else:
-        names = [suite]
+    if suite == "split" and not field.is_extension:
+        raise BaseFieldInput(
+            f"split suite needs a quadratic extension, got {field.spec_string()}"
+        )
+    run = _Run(field, config)
     checks = []
-    for name in names:
-        checks.extend(_SUITE_FNS[name](field, config))
+    for check in CHECKS:
+        if suite not in ("all", check.suite):
+            continue
+        if check.extension_only and not field.is_extension:
+            continue
+        t0 = time.perf_counter()
+        if check.cases is None:
+            cases = repeat(_rng(field, config, check.name), config.trials)
+        else:
+            cases = check.cases(run)
+        trials = failures = 0
+        witnesses = []
+        for case in cases:
+            trials += 1
+            w = check.holds(run, case)
+            if w is not None:
+                failures += 1
+                if len(witnesses) < MAX_WITNESSES:
+                    witnesses.append(w)
+        checks.append(CheckResult(check.name, trials, failures, witnesses,
+                                  (time.perf_counter() - t0) * 1000.0))
     checks.sort(key=lambda c: c.name)
     return Report(command=f"suite:{suite}", config=config, checks=checks)
 
@@ -838,15 +749,8 @@ SELFTEST_INDEX_SPECS = ("Qp(13)[unram:2]", "Qp(13)[ram:13]")
 
 def selftest_reports(config: RunConfig) -> list:
     """Run the full battery; config.field_spec is ignored in favor of the list."""
-    reports = []
-    for spec in SELFTEST_BASE_SPECS + SELFTEST_EXT_SPECS:
-        cfg = RunConfig(field_spec=spec, trials=config.trials, seed=config.seed,
-                        height=config.height, output=config.output,
-                        timings=config.timings)
-        reports.append(run_suite(cfg, "all"))
-    for spec in SELFTEST_INDEX_SPECS:
-        cfg = RunConfig(field_spec=spec, trials=config.trials, seed=config.seed,
-                        height=config.height, output=config.output,
-                        timings=config.timings)
-        reports.append(run_suite(cfg, "omega"))
+    reports = [run_suite(replace(config, field_spec=spec), "all")
+               for spec in SELFTEST_BASE_SPECS + SELFTEST_EXT_SPECS]
+    reports.extend(run_suite(replace(config, field_spec=spec), "omega")
+                   for spec in SELFTEST_INDEX_SPECS)
     return reports

@@ -6,6 +6,7 @@ the same stream generator the CLI suites use, so a red line here is
 reproducible from the command line as well.
 """
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -276,6 +277,9 @@ def test_a11_whittaker_datum_and_orbit_invariance_1000_each():
                 (field.spec_string(), a, g)
 
 
+SELFTEST_SEED0_SHA256 = "54ce6b6593e804df582d389cadcc62013286dddf8ef3de999a158511727f812f"
+
+
 def test_a12_selftest_cli_byte_identical_and_under_120s_per_run():
     env = {k: v for k, v in os.environ.items() if k != "KUBOTA_META_SEED"}
     cmd = [sys.executable, "-m", "kubota_meta.cli", "selftest-all", "--seed", "0"]
@@ -289,3 +293,6 @@ def test_a12_selftest_cli_byte_identical_and_under_120s_per_run():
         outputs.append(proc.stdout)
     assert outputs[0] == outputs[1], "selftest-all output is not byte-stable"
     assert b'"pass": true' in outputs[0]
+    # pinned, so a refactor that changes any byte of the report fails here
+    assert hashlib.sha256(outputs[0]).hexdigest() == SELFTEST_SEED0_SHA256, \
+        "selftest-all --seed 0 output changed"

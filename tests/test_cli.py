@@ -9,6 +9,7 @@ import pytest
 
 from kubota_meta.cli import emit_report, main
 from kubota_meta.errors import (
+    BaseFieldInput,
     DIsSquare,
     EvenResidueCharUnsupported,
     NotPrime,
@@ -114,8 +115,6 @@ def test_run_config_validation():
         RunConfig("Qp(5)", trials=0)
     with pytest.raises(ValueError):
         RunConfig("Qp(5)", height=0)
-    with pytest.raises(ValueError):
-        RunConfig("Qp(5)", output="xml")
 
 
 def test_run_suite_name_guard():
@@ -140,8 +139,68 @@ def test_report_shape_and_determinism():
     assert all("elapsed_ms" in c for c in timed.to_dict()["checks"])
 
 
+# every check of the registry with its trial count at trials=3: randomized
+# checks run 3 trials, exhaustive ones their fixed number of cases
+REGISTRY_AT_3 = {
+    "cocycle_borel_formula": 3,
+    "cocycle_commutator_center": 3,
+    "cocycle_identity": 3,
+    "cocycle_meta_group_laws": 3,
+    "cocycle_sl2_triples": 3,
+    "split_gl2f": 3,
+    "split_unipotent": 3,
+    "hilbert_bilinear": 3,
+    "hilbert_f_pairs_trivial": 3,
+    "hilbert_nondegenerate": 4,
+    "hilbert_norm_compat": 3,
+    "hilbert_square_class_invariance": 3,
+    "hilbert_steinberg": 3,
+    "hilbert_symmetric": 3,
+    "omega_chi_quadratic": 3,
+    "omega_image_subgroup": 1,
+    "omega_index_agreement": 1,
+    "omega_torsor_shape": 1,
+    "omega_twist_action": 4,
+    "weil_central_sign_twist": 3,
+    "weil_chi_genuine": 1,
+    "weil_chi_multiplicative": 3,
+    "weil_conductor": 3,
+    "weil_product_relation": 16,
+    "weil_square_class_invariance": 3,
+    "weil_unit_euler_sign": 3,
+    "packets_complementary_partition": 8,
+    "packets_epsilon_sign_chain": 8,
+    "packets_model_arithmetic": 10,
+    "packets_not_discrete_guard": 1,
+    "packets_orbit_bijection": 1,
+    "packets_orbit_conjugation": 3,
+    "packets_waldspurger_flags": 5,
+    "packets_whittaker_trace": 3,
+}
+EXTENSION_ONLY = {"split_gl2f", "split_unipotent", "hilbert_f_pairs_trivial",
+                  "hilbert_norm_compat", "omega_image_subgroup", "omega_index_agreement"}
+
+
+@pytest.mark.parametrize("spec, total", [("Qp(5)", 28), ("Qp(5)[ram:5]", 34)])
+def test_check_registry_shape(spec, total):
+    is_extension = "[" in spec
+    expected = {name: trials for name, trials in REGISTRY_AT_3.items()
+                if is_extension or name not in EXTENSION_ONLY}
+    cfg = RunConfig(spec, trials=3)
+    got = {c.name: c.trials for c in run_suite(cfg, "all").checks}
+    assert got == expected and len(got) == total
+    for suite in ("cocycle", "split", "hilbert", "omega", "weil", "packets"):
+        if suite == "split" and not is_extension:
+            with pytest.raises(BaseFieldInput):
+                run_suite(cfg, suite)
+            continue
+        got = {c.name: c.trials for c in run_suite(cfg, suite).checks}
+        assert got == {name: trials for name, trials in expected.items()
+                       if name.startswith(suite + "_")}, suite
+
+
 def test_emit_report_exit_codes(capsys):
-    cfg = RunConfig("Qp(5)", trials=1, output="text")
+    cfg = RunConfig("Qp(5)", trials=1)
     good = Report("demo", cfg, [CheckResult("ok", 5, 0, [], 0.0)])
     bad = Report("demo", cfg, [CheckResult("broken", 5, 2, ["w1", "w2"], 0.0)])
     assert emit_report(good, "text") == 0
@@ -262,6 +321,21 @@ def test_cli_multiplicity_table_golden_csv(capsys):
         "1+3,true,1,4,2,8\n"
         "1+6,true,1,4,2,8\n"
         "1+2+3+6,true,2,2,4,8\n"
+    )
+
+
+def test_cli_multiplicity_table_golden_text(capsys):
+    rc, out, _ = run_cli(capsys, "multiplicity-table", "--field", "Qp(3)",
+                         "--format", "text")
+    assert rc == 0
+    assert out == (
+        "S=1 discrete=true m=1 m1=8 m2=1 product=8\n"
+        "S=1 discrete=false m=1 m1=4 m2=1 product=4\n"
+        "S=1+2 discrete=true m=2 m1=4 m2=2 product=8\n"
+        "S=1+2 discrete=false m=2 m1=2 m2=2 product=4\n"
+        "S=1+3 discrete=true m=1 m1=4 m2=2 product=8\n"
+        "S=1+6 discrete=true m=1 m1=4 m2=2 product=8\n"
+        "S=1+2+3+6 discrete=true m=2 m1=2 m2=4 product=8\n"
     )
 
 
