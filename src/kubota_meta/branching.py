@@ -24,7 +24,7 @@ from .errors import (
     ZeroMatrix,
 )
 from .hilbert import Sign, pair_class_keys
-from .kubota import Mat2
+from .kubota import Mat2, _mul2
 from .local_field import (
     FieldElement,
     LocalField,
@@ -180,16 +180,6 @@ def epsilon_sign_chain(field: LocalField, b: SquareClass, seed: Sign = 1) -> dic
 # nilpotent orbits and Whittaker data
 
 
-def _mul2(x, y):
-    """Product of 2x2 matrices given as entry 4-tuples (no invertibility)."""
-    return (
-        x[0] * y[0] + x[1] * y[2],
-        x[0] * y[1] + x[1] * y[3],
-        x[2] * y[0] + x[3] * y[2],
-        x[2] * y[1] + x[3] * y[3],
-    )
-
-
 class NilpotentSl2:
     """A nonzero traceless nilpotent 2x2 matrix Y (so Y^2 = 0)."""
 
@@ -221,9 +211,7 @@ class NilpotentSl2:
         return (self.e11, self.e12, self.e21, -self.e11)
 
     def conjugate_by(self, g: Mat2) -> "NilpotentSl2":
-        det = g.det
-        ginv = (g.d / det, -g.b / det, -g.c / det, g.a / det)
-        r = _mul2(_mul2(g.entries(), self.entries()), ginv)
+        r = _mul2(_mul2(g.entries(), self.entries()), g.inverse().entries())
         return NilpotentSl2.from_entries(self.field, *r)
 
     def __repr__(self) -> str:

@@ -16,11 +16,23 @@ It extends to GL2 through the determinant splitting
 where p(g) = diag(1, det g)^(-1) g, g^y is conjugation by diag(1, y), and
 v(y, g) is 1 when c != 0 and (y, d) when c = 0.
 
-Implementation note: p(g1 g2) = p(g1)^(det g2) p(g2) holds identically, so
-all three x-values needed by beta can be read off the entries of g1, g2 and
-their product, and each Hilbert symbol consumes only square-class keys.
-That turns a cocycle check into three matrix products plus integer parity
-arithmetic, which is what makes 10k-triple self-tests cheap.
+Implementation note: a Mat2 is nine ints (A_a, B_a, ..., A_d, B_d, D),
+entry x being (A_x + B_x*sqrt(d)) / D over one denominator D > 0.  A
+product, inverse or displayed map is integer arithmetic on these ints
+followed by one gcd over all nine, which leaves the nine coprime; that
+form is canonical, so equality and hashing compare the tuple.  The
+entries ``.a`` ... ``.d`` and ``.det`` are read back as reduced
+FieldElements only at the API boundary.
+
+Square-class keys come from the ints as stored: the key of c is the key
+of the triple (A_c, B_c, D), which does not change if the three are
+scaled by one factor, and det = (ad - bc) has the key of its numerator
+over the denominator of d, since D^2 is a square.  A product's det key is
+the XOR of its factors' keys.  p(g1 g2) = p(g1)^(det g2) p(g2) holds
+identically, so all three x-values needed by beta can be read off the
+entries of g1, g2 and their product, and each Hilbert symbol consumes
+only square-class keys.  That turns a cocycle check into three integer
+matrix products plus parity arithmetic.
 """
 
 from __future__ import annotations
@@ -32,100 +44,202 @@ from .errors import (
     NotSL2,
     ZeroElement,
 )
+from math import gcd, lcm
+
 from .hilbert import Sign, hilbert, pair_class_keys
-from .local_field import FieldElement, LocalField, class_key
+from .local_field import FieldElement, LocalField, _class_key, _reduced
 
 
 def _kxor(k1: tuple, k2: tuple) -> tuple:
     return (k1[0] ^ k2[0], k1[1] ^ k2[1])
 
 
-class Mat2:
-    """Invertible 2x2 matrix over a LocalField with cached determinant.
+# ---------------------------------------------------------------------------
+# 2x2 matrices as nine ints (A_a, B_a, A_b, B_b, A_c, B_c, A_d, B_d, D)
 
-    Square-class keys of the determinant and of the x-entry (c, or d when
-    c = 0) are memoized on the instance; cocycle evaluation reads only
-    those.
+
+def _mul(f: LocalField, A1: int, B1: int, A2: int, B2: int) -> tuple:
+    """dd * (A1 + B1 sqrt(d)) (A2 + B2 sqrt(d)) as an int pair, d = dn/dd."""
+    dd = f._d_den
+    return (dd * A1 * A2 + f._d_num * B1 * B2, dd * (A1 * B2 + B1 * A2))
+
+
+def _common(entries) -> tuple:
+    """The nine ints of four FieldElements over their least common denominator.
+
+    With each entry in lowest terms, the nine ints are coprime.
+    """
+    D = lcm(*(x._D for x in entries))
+    q = []
+    for x in entries:
+        s = D // x._D
+        q += (x._A * s, x._B * s)
+    q.append(D)
+    return tuple(q)
+
+
+def _elements(f: LocalField, q: tuple) -> tuple:
+    D = q[8]
+    return tuple(_reduced(f, q[i], q[i + 1], D) for i in (0, 2, 4, 6))
+
+
+def _entry(i: int) -> property:
+    """The entry stored at q[i], q[i + 1] as a reduced FieldElement."""
+    return property(lambda g: _reduced(g.field, g._q[i], g._q[i + 1], g._q[8]))
+
+
+def _product(f: LocalField, x: tuple, y: tuple) -> tuple:
+    """The nine ints of the 2x2 product x y, not reduced.
+
+    Entry by entry this is ``_mul`` summed over the inner index; the
+    denominator gains the factor dd that keeps the sqrt(d)^2 terms integral.
+    """
+    a0, a1, b0, b1, c0, c1, d0, d1, D = x
+    e0, e1, f0, f1, g0, g1, h0, h1, E = y
+    dd, dn = f._d_den, f._d_num
+    return (
+        dd * (a0 * e0 + b0 * g0) + dn * (a1 * e1 + b1 * g1),
+        dd * (a0 * e1 + a1 * e0 + b0 * g1 + b1 * g0),
+        dd * (a0 * f0 + b0 * h0) + dn * (a1 * f1 + b1 * h1),
+        dd * (a0 * f1 + a1 * f0 + b0 * h1 + b1 * h0),
+        dd * (c0 * e0 + d0 * g0) + dn * (c1 * e1 + d1 * g1),
+        dd * (c0 * e1 + c1 * e0 + d0 * g1 + d1 * g0),
+        dd * (c0 * f0 + d0 * h0) + dn * (c1 * f1 + d1 * h1),
+        dd * (c0 * f1 + c1 * f0 + d0 * h1 + d1 * h0),
+        D * E * dd,
+    )
+
+
+def _mul2(x: tuple, y: tuple) -> tuple:
+    """Product of 2x2 matrices given as FieldElement 4-tuples, singular
+    ones included."""
+    f = x[0].field
+    return _elements(f, _product(f, _common(x), _common(y)))
+
+
+def _det_ints(f: LocalField, q: tuple) -> tuple:
+    """(P, Q) with det = (P + Q sqrt(d)) / (D^2 dd)."""
+    a0, a1, b0, b1, c0, c1, d0, d1, _ = q
+    P1, Q1 = _mul(f, a0, a1, d0, d1)
+    P2, Q2 = _mul(f, b0, b1, c0, c1)
+    return P1 - P2, Q1 - Q2
+
+
+def _over_det(f: LocalField, q: tuple, pairs) -> tuple:
+    """(n, [X, Y, ...]) with (A + B sqrt(d)) / D / det = D dd (X + Y sqrt(d)) / n
+    for each (A, B) in ``pairs``; n != 0 because d is not a square."""
+    P, Q = _det_ints(f, q)
+    n = _mul(f, P, Q, P, -Q)[0]
+    out = []
+    for A, B in pairs:
+        out += _mul(f, A, B, P, -Q)
+    return n, out
+
+
+_new_matrix = object.__new__
+
+
+def _mat2(f: LocalField, q: tuple, kdet) -> "Mat2":
+    """The matrix of nine ints q (q[8] > 0) reduced by their content, with
+    det key ``kdet`` (None: computed when asked).  The one constructor of
+    products, inverses and displayed maps; it skips the singular check."""
+    g = gcd(*q)
+    if g != 1:
+        q = tuple([n // g for n in q])
+    m = _new_matrix(Mat2)
+    m.field = f
+    m._q = q
+    m._kdet = kdet
+    m._kx = None
+    return m
+
+
+class Mat2:
+    """Invertible 2x2 matrix over a LocalField, stored as nine coprime ints.
+
+    Entry x is (A_x + B_x sqrt(d)) / D for ``_q = (A_a, B_a, A_b, B_b,
+    A_c, B_c, A_d, B_d, D)`` with D > 0.  The entries and the determinant
+    read back as reduced FieldElements.  Square-class keys of the
+    determinant and of the x-entry (c, or d when c = 0) are memoized on the
+    instance; cocycle evaluation reads only those.
     """
 
-    __slots__ = ("field", "a", "b", "c", "d", "det", "_kdet", "_kx")
+    __slots__ = ("field", "_q", "_kdet", "_kx")
 
-    def __init__(self, field: LocalField, a, b, c, d, det=None):
+    def __init__(self, field: LocalField, a, b, c, d):
         for entry in (a, b, c, d):
             if not isinstance(entry, FieldElement) or (
                     entry.field is not field and entry.field != field):
                 raise FieldMismatch("matrix entries must lie in the given field")
         self.field = field
-        self.a, self.b, self.c, self.d = a, b, c, d
-        self.det = det if det is not None else a * d - b * c
-        if self.det.is_zero():
+        self._q = _common((a, b, c, d))
+        if _det_ints(field, self._q) == (0, 0):
             raise ValueError("matrix is singular")
         self._kdet = None
         self._kx = None
 
     @classmethod
     def identity(cls, field: LocalField) -> "Mat2":
-        one, zero = field.one(), field.zero()
-        return cls(field, one, zero, zero, one, det=one)
+        return _mat2(field, (1, 0, 0, 0, 0, 0, 1, 0, 1), (0, 0))
 
     @classmethod
     def diag(cls, x: FieldElement, y: FieldElement) -> "Mat2":
         f = x.field
-        return cls(f, x, f.zero(), f.zero(), y, det=x * y)
+        return cls(f, x, f.zero(), f.zero(), y)
+
+    a, b, c, d = _entry(0), _entry(2), _entry(4), _entry(6)
+
+    @property
+    def det(self) -> FieldElement:
+        f, q = self.field, self._q
+        P, Q = _det_ints(f, q)
+        return _reduced(f, P, Q, q[8] * q[8] * f._d_den)
 
     def __matmul__(self, other: "Mat2") -> "Mat2":
-        if self.field != other.field:
+        f = self.field
+        if other.field is not f and other.field != f:
             raise FieldMismatch("matrix product across different fields")
-        prod = Mat2(
-            self.field,
-            self.a * other.a + self.b * other.c,
-            self.a * other.b + self.b * other.d,
-            self.c * other.a + self.d * other.c,
-            self.c * other.b + self.d * other.d,
-            det=self.det * other.det,
-        )
         # det key of a product is free once the factors are keyed
-        prod._kdet = _kxor(self.det_key(), other.det_key())
-        return prod
+        return _mat2(f, _product(f, self._q, other._q),
+                     _kxor(self.det_key(), other.det_key()))
 
     def inverse(self) -> "Mat2":
-        r = self.det.inverse()
-        inv = Mat2(
-            self.field,
-            self.d * r,
-            -self.b * r,
-            -self.c * r,
-            self.a * r,
-            det=r,
-        )
+        """The adjugate divided by the determinant."""
+        f = self.field
+        a0, a1, b0, b1, c0, c1, d0, d1, D = self._q
+        n, q = _over_det(f, self._q, ((d0, d1), (-b0, -b1), (-c0, -c1), (a0, a1)))
+        s = D * f._d_den if n > 0 else -D * f._d_den
         # class keys are 2-torsion, so det and 1/det share one
-        inv._kdet = self._kdet
-        return inv
+        return _mat2(f, tuple(s * X for X in q) + (abs(n),), self._kdet)
 
     def det_key(self) -> tuple:
         if self._kdet is None:
-            self._kdet = class_key(self.det)
+            # det = (P + Q sqrt d) / (D^2 dd), and D^2 is a square
+            f = self.field
+            self._kdet = _class_key(f, *_det_ints(f, self._q), f._d_den)
         return self._kdet
 
     def x_key(self) -> tuple:
         """Square-class key of x(g) = c if c != 0 else d."""
         if self._kx is None:
-            self._kx = class_key(self.c if self.c else self.d)
+            q = self._q
+            i = 4 if q[4] or q[5] else 6
+            self._kx = _class_key(self.field, q[i], q[i + 1], q[8])
         return self._kx
 
-    def entries(self):
-        return (self.a, self.b, self.c, self.d)
+    def entries(self) -> tuple:
+        return _elements(self.field, self._q)
 
     def is_f_rational(self) -> bool:
-        return not (self.a.b or self.b.b or self.c.b or self.d.b)
+        return not any(self._q[1:8:2])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Mat2):
             return NotImplemented
-        return self.field == other.field and self.entries() == other.entries()
+        return self.field == other.field and self._q == other._q
 
     def __hash__(self):
-        return hash((self.field, self.entries()))
+        return hash((self.field, self._q))
 
     def __repr__(self) -> str:
         a, b, c, d = self.entries()
@@ -138,20 +252,41 @@ class Mat2:
 
 def x_of(g: Mat2) -> FieldElement:
     """c when c != 0, else d (nonzero by invertibility)."""
-    return g.c if g.c else g.d
+    c = g.c
+    return c if c else g.d
 
 
 def p_part(g: Mat2) -> Mat2:
     """The SL2 part: diag(1, det g)^(-1) g."""
-    det = g.det
-    return Mat2(g.field, g.a, g.b, g.c / det, g.d / det, det=g.field.one())
+    f = g.field
+    a0, a1, b0, b1, c0, c1, d0, d1, D = g._q
+    n, bottom = _over_det(f, g._q, ((c0, c1), (d0, d1)))
+    # x / det = D dd X / n = D^2 dd X / (D n): over the denominator D |n|
+    # the top row is multiplied by |n|
+    m = abs(n)
+    s = D * D * f._d_den if n > 0 else -D * D * f._d_den
+    return _mat2(f, (a0 * m, a1 * m, b0 * m, b1 * m,
+                     *(s * X for X in bottom), D * m), (0, 0))
 
 
 def conj_by_det(g: Mat2, y: FieldElement) -> Mat2:
     """g^y = diag(1, y)^(-1) g diag(1, y); preserves the determinant."""
     if y.is_zero():
         raise ZeroElement("conjugation parameter must be nonzero")
-    return Mat2(g.field, g.a, g.b * y, g.c / y, g.d, det=g.det)
+    f = g.field
+    a0, a1, b0, b1, c0, c1, d0, d1, D = g._q
+    yA, yB, yD = y._A, y._B, y._D
+    dd = f._d_den
+    # b y = by / (D yD dd) and c / y = yD cy / (D m), m = dd N(yA + yB sqrt d)
+    by = _mul(f, b0, b1, yA, yB)
+    cy = _mul(f, c0, c1, yA, -yB)
+    m = _mul(f, yA, yB, yA, -yB)[0]
+    # everything over the denominator D yD dd |m|
+    am = abs(m)
+    s = yD * dd * am
+    t = yD * yD * dd if m > 0 else -yD * yD * dd
+    return _mat2(f, (a0 * s, a1 * s, by[0] * am, by[1] * am, cy[0] * t, cy[1] * t,
+                     d0 * s, d1 * s, D * s), g._kdet)
 
 
 def v_factor(y: FieldElement, g: Mat2) -> Sign:
@@ -188,8 +323,9 @@ def beta(g1: Mat2, g2: Mat2, product: Mat2 = None) -> Sign:
     kd2 = g2.det_key()
     kd12 = _kxor(kd1, kd2)
 
+    c1 = g1._q[4] or g1._q[5]
     # x(p(g1)^(det g2)) = c1/(det1 det2) if c1 != 0 else d1/det1
-    kx1 = _kxor(g1.x_key(), _kxor(kd1, kd2) if g1.c else kd1)
+    kx1 = _kxor(g1.x_key(), _kxor(kd1, kd2) if c1 else kd1)
     # x(p(g2)) = c2/det2 if c2 != 0 else d2/det2
     kx2 = _kxor(g2.x_key(), kd2)
     # x(p(g1 g2)), using p(g1 g2) = p(g1)^(det g2) p(g2)
@@ -199,7 +335,7 @@ def beta(g1: Mat2, g2: Mat2, product: Mat2 = None) -> Sign:
     kmid = _kxor(kminus, _kxor(kx1, kx2))
 
     sign = pair_class_keys(field, kx1, kx2) * pair_class_keys(field, kmid, kx12)
-    if not g1.c:
+    if not c1:
         # v(det g2, p(g1)) = (det g2, d1/det1)
         sign *= pair_class_keys(field, kd2, _kxor(g1.x_key(), kd1))
     return sign
@@ -239,46 +375,11 @@ def meta_inv(m: MetaElement) -> MetaElement:
     return MetaElement(ginv, m.eps * beta(m.g, ginv))
 
 
-class _ProductRow:
-    """The slice of a product matrix that the cocycle actually reads.
-
-    beta consumes only x(g) = (c or d), the determinant class key, and the
-    c = 0 branch; the top row of g1 @ g2 never enters, so check_cocycle
-    skips computing it.
-    """
-
-    __slots__ = ("field", "c", "d", "_kdet", "_kx")
-
-    def __init__(self, field, c, d, kdet):
-        self.field = field
-        self.c = c
-        self.d = d
-        self._kdet = kdet
-        self._kx = None
-
-    def det_key(self) -> tuple:
-        return self._kdet
-
-    def x_key(self) -> tuple:
-        if self._kx is None:
-            self._kx = class_key(self.c if self.c else self.d)
-        return self._kx
-
-
-def _product_row(g1, g2) -> _ProductRow:
-    return _ProductRow(
-        g1.field,
-        g1.c * g2.a + g1.d * g2.c,
-        g1.c * g2.b + g1.d * g2.d,
-        _kxor(g1.det_key(), g2.det_key()),
-    )
-
-
 def check_cocycle(g1: Mat2, g2: Mat2, g3: Mat2) -> bool:
     """beta(g1,g2) beta(g1 g2, g3) == beta(g1, g2 g3) beta(g2, g3), exactly."""
-    h12 = _product_row(g1, g2)
-    h23 = _product_row(g2, g3)
-    h123 = _product_row(h12, g3)
+    h12 = g1 @ g2
+    h23 = g2 @ g3
+    h123 = h12 @ g3
     lhs = beta(g1, g2, product=h12) * beta(h12, g3, product=h123)
     rhs = beta(g1, h23, product=h123) * beta(g2, g3, product=h23)
     return lhs == rhs

@@ -60,8 +60,15 @@ def _strip(n: int, p: int) -> tuple:
     """(v_p(n), n / p^v_p(n)) for a nonzero integer n."""
     v = 0
     while n % p == 0:
-        n //= p
-        v += 1
+        # divide by p, p^2, p^4, ... while they divide, then start over:
+        # O(log(v)^2) big-int divisions where one p at a time costs v
+        q, k = p, 1
+        while True:
+            m, r = divmod(n, q)
+            if r:
+                break
+            n, v = m, v + k
+            q, k = q * q, 2 * k
     return v, n
 
 
@@ -525,12 +532,15 @@ def _residue_is_square(field: LocalField, r0: int, r1: int) -> bool:
 # valuation, residue reduction, square classes
 
 
-def _valuation_and_residue(x: FieldElement) -> tuple:
-    """(v(x), r0, r1): the valuation and the residue of x * pi^(-v(x))."""
-    A, B, D = x._A, x._B, x._D
+def _valuation_and_residue(f: LocalField, A: int, B: int, D: int) -> tuple:
+    """(v(x), r0, r1) for x = (A + B*sqrt(d)) / D with D > 0: the valuation
+    and the residue of x * pi^(-v(x)).
+
+    The triple need not be in lowest terms: scaling A, B and D by one
+    common factor leaves the result unchanged.
+    """
     if not (A or B):
         raise ZeroElement("valuation of 0 is undefined")
-    f = x.field
     p = f.p
     vD, Du = _strip(D, p)
     if f.kind == "ram":
@@ -561,12 +571,12 @@ def _valuation_and_residue(x: FieldElement) -> tuple:
 
 def valuation(x: FieldElement) -> int:
     """Normalized additive valuation (value group Z, uniformizer -> 1)."""
-    return _valuation_and_residue(x)[0]
+    return _valuation_and_residue(x.field, x._A, x._B, x._D)[0]
 
 
 def unit_part(x: FieldElement) -> ResidueElement:
     """Residue of x * pi^(-v(x)) mod the maximal ideal; always nonzero."""
-    _, r0, r1 = _valuation_and_residue(x)
+    _, r0, r1 = _valuation_and_residue(x.field, x._A, x._B, x._D)
     return ResidueElement(x.field, r0, r1)
 
 
@@ -576,8 +586,13 @@ def class_key(x: FieldElement) -> tuple:
     This pair is a group isomorphism E*/E*^2 -> (Z/2)^2 at odd p, and is
     the only data the Hilbert symbol ever consumes.
     """
-    v, r0, r1 = _valuation_and_residue(x)
-    return (v & 1, 0 if _residue_is_square(x.field, r0, r1) else 1)
+    return _class_key(x.field, x._A, x._B, x._D)
+
+
+def _class_key(f: LocalField, A: int, B: int, D: int) -> tuple:
+    """:func:`class_key` of (A + B*sqrt(d)) / D, D > 0, in any terms."""
+    v, r0, r1 = _valuation_and_residue(f, A, B, D)
+    return (v & 1, 0 if _residue_is_square(f, r0, r1) else 1)
 
 
 def is_square(x: FieldElement) -> bool:

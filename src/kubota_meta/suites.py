@@ -254,9 +254,10 @@ def rand_mat2(rng, field, height, f_rational=False):
         a, b, c, d = entry(), entry(), entry(), entry()
         if force_c_zero:
             c = field.zero()
-        det = a * d - b * c
-        if not det.is_zero():
-            return Mat2(field, a, b, c, d, det=det)
+        try:
+            return Mat2(field, a, b, c, d)
+        except ValueError:  # singular: draw again
+            continue
 
 
 def rand_sl2(rng, field, height, f_rational=False):

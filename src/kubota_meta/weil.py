@@ -211,6 +211,9 @@ def _char_sum(psi: AdditiveChar, a: FieldElement, k: int) -> complex:
         y1 = np.arange(n1, dtype=np.int64)
         q1 = (y1 * y1) % M
         cross = (y0[:, None] * y1[None, :]) % M
+        # int64 cannot overflow: A, B, C and the grids are reduced mod
+        # M <= 2^30, so each of A*q0, B*q1 and C*cross is below 2^60 and
+        # their sum is below 2^62
         e = (A * q0[:, None] + B * q1[None, :] + C * cross) % M
         e = e.ravel()
     if M <= 4096:

@@ -68,6 +68,21 @@ def hilbert_classical(a: Fraction, b: Fraction, p: int) -> int:
     return sign
 
 
+def coord_mul(x: tuple, y: tuple, d: Fraction) -> tuple:
+    """(a1 + b1 sqrt d)(a2 + b2 sqrt d) on Fraction coordinate pairs."""
+    (a1, b1), (a2, b2) = x, y
+    return (a1 * a2 + d * b1 * b2, a1 * b2 + b1 * a2)
+
+
+def mat_mul(x: tuple, y: tuple, d: Fraction) -> tuple:
+    """Product of 2x2 matrices given as four (a, b) Fraction pairs each,
+    row by row: entry (a, b) stands for a + b sqrt d."""
+    def entry(i, j):
+        (p0, p1), (q0, q1) = (coord_mul(x[2 * i + k], y[2 * k + j], d) for k in (0, 1))
+        return (p0 + q0, p1 + q1)
+    return (entry(0, 0), entry(0, 1), entry(1, 0), entry(1, 1))
+
+
 def beta_literal(g1: Mat2, g2: Mat2) -> int:
     """The cocycle composed literally from the displayed maps, with full
     matrix products and no class-key shortcuts."""

@@ -9,6 +9,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kubota_meta.errors import (
     BaseFieldInput,
@@ -33,8 +34,9 @@ from kubota_meta.kubota import (
     v_factor,
     x_of,
 )
-from kubota_meta.local_field import make_field
-from oracles import beta_literal
+from kubota_meta.local_field import class_key, make_field
+from kubota_meta.parsing import parse_field_spec
+from oracles import beta_literal, coord_mul, mat_mul
 
 Q3 = make_field(3)
 Q5 = make_field(5)
@@ -201,8 +203,9 @@ def test_cocycle_identity_on_random_triples(field):
 
 
 def test_check_cocycle_agrees_with_naive_evaluation():
-    # the fast path skips the top row of every product; make sure it
-    # computes the same booleans as the definition, term by term
+    # check_cocycle shares the products g1 g2 and g2 g3 between its two
+    # sides; make sure it computes the same booleans as the definition,
+    # term by term
     rng = random.Random(23)
     for field in (Q5, E5R):
         mats = sample_matrices(field, rng, 30)
@@ -290,3 +293,92 @@ def test_commutator_pairing_is_z_against_det():
     assert commutator_pairing(Q5.elt(4), M(Q5, 1, 1, 5, 10)) == 1
     with pytest.raises(ZeroElement):
         commutator_pairing(Q5.zero(), Mat2.identity(Q5))
+
+
+# ---------------------------------------------------------------------------
+# integer storage against Fraction coordinates
+
+# two fields whose d has a denominator, so products carry its factor dd
+ORACLE_FIELDS = [parse_field_spec(s) for s in (
+    "Qp(5)", "Qp(5)[unram:2]", "Qp(5)[ram:5]", "Qp(5)[unram:1/2]", "Qp(7)[ram:7/3]")]
+
+
+def coords(g: Mat2) -> tuple:
+    return tuple((x.a, x.b) for x in g.entries())
+
+
+def coord_det(m: tuple, d: Fraction) -> tuple:
+    (p0, p1), (q0, q1) = coord_mul(m[0], m[3], d), coord_mul(m[1], m[2], d)
+    return (p0 - q0, p1 - q1)
+
+
+def coord_diag(x: tuple, y: tuple) -> tuple:
+    zero = (Fraction(0), Fraction(0))
+    return (x, zero, zero, y)
+
+
+ONE = (Fraction(1), Fraction(0))
+
+
+def elements(field):
+    rational = st.builds(lambda n, m, k: Fraction(n, m) * Fraction(field.p) ** k,
+                         st.integers(-40, 40), st.integers(1, 40), st.integers(-3, 3))
+    if field.is_extension:
+        return st.builds(field.elt, rational, rational)
+    return st.builds(field.elt, rational)
+
+
+def invertible(field):
+    entries = st.tuples(*[elements(field)] * 4)
+    return entries.filter(lambda e: not (e[0] * e[3] - e[1] * e[2]).is_zero()).map(
+        lambda e: Mat2(field, *e))
+
+
+@st.composite
+def field_mats(draw, n):
+    field = draw(st.sampled_from(ORACLE_FIELDS))
+    mats = draw(st.lists(invertible(field), min_size=n, max_size=n))
+    return field, mats
+
+
+@given(field_mats(2), st.data())
+def test_integer_ops_match_fraction_oracle(fm, data):
+    field, (g, h) = fm
+    d = field.d
+    y = data.draw(elements(field).filter(bool))
+    yc = (y.a, y.b)
+    gc, hc = coords(g), coords(h)
+    assert coords(g @ h) == mat_mul(gc, hc, d)
+    ident = coord_diag(ONE, ONE)
+    assert mat_mul(gc, coords(g.inverse()), d) == ident
+    assert mat_mul(coord_diag(ONE, coord_det(gc, d)), coords(p_part(g)), d) == gc
+    assert (mat_mul(coord_diag(ONE, yc), coords(conj_by_det(g, y)), d)
+            == mat_mul(gc, coord_diag(ONE, yc), d))
+    # keys read off the stored ints agree with the keys of the reduced entries
+    for m in (g, g @ h, g.inverse(), p_part(g), conj_by_det(g, y)):
+        assert m.det_key() == class_key(m.det)
+        assert m.x_key() == class_key(x_of(m))
+
+
+@given(field_mats(1))
+def test_product_with_inverse_is_the_identity(fm):
+    field, (g,) = fm
+    ident = Mat2.identity(field)
+    for m in (g @ g.inverse(), g.inverse() @ g):
+        assert m == ident
+        assert hash(m) == hash(ident)
+
+
+@settings(max_examples=10)
+@given(field_mats(64))
+def test_long_fold_matches_oracle_product_and_literal_sign(fm):
+    field, word = fm
+    prod = MetaElement(word[0])
+    ref = coords(word[0])
+    sign = 1
+    for g in word[1:]:
+        sign *= beta_literal(prod.g, g)
+        prod = meta_mul(prod, MetaElement(g))
+        ref = mat_mul(ref, coords(g), field.d)
+    assert coords(prod.g) == ref
+    assert prod.eps == sign
