@@ -23,8 +23,6 @@ from .branching import (
 )
 from .characters import (
     GenuineZCharacter,
-    OmegaSet,
-    SquareClassGroup,
     chi_a_eval,
     conjugate_char,
     count_agreeing_extensions,
@@ -57,7 +55,6 @@ from .local_field import (
     class_key,
     embed_base,
     format_element,
-    galois_conjugate,
     is_square,
     make_field,
     norm,

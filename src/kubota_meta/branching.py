@@ -38,8 +38,7 @@ from .weil import AdditiveChar, RootOfUnity, psi_eval
 def _pairs_minus_one(cls: SquareClass) -> Sign:
     """(a, -1) for a square class a."""
     f = cls.field
-    kminus = (0, 0) if f.minus_one_is_square else (0, 1)
-    return pair_class_keys(f, cls.key, kminus)
+    return pair_class_keys(f, cls.key, f.minus_one_key)
 
 
 # ---------------------------------------------------------------------------
@@ -66,7 +65,7 @@ class TauTwistModel:
     def __post_init__(self):
         S = frozenset(self.S)
         object.__setattr__(self, "S", S)
-        identity = SquareClass(self.field, (0, 0))
+        identity = SquareClass(self.field, 0)
         if identity not in S:
             raise ValueError("self-twist set must contain the identity class")
         for a in S:
@@ -143,7 +142,7 @@ def complementary_support(support, field: LocalField) -> SquareClass:
     if len(support) != 2:
         raise NotACoset(f"support of size {len(support)} is not a proper coset")
     x, y = sorted(support, key=lambda c: c.key)
-    stabilizer = {SquareClass(field, (0, 0)), x * y}
+    stabilizer = {SquareClass(field, 0), x * y}
     b = next(r for r in square_class_reps(field) if r not in stabilizer)
     shifted = frozenset(b * s for s in support)
     if shifted & support or len(shifted | support) != 4:
@@ -162,12 +161,12 @@ def epsilon_sign_chain(field: LocalField, b: SquareClass, seed: Sign = 1) -> dic
     """
     if field.minus_one_is_square:
         raise MinusOneIsSquare("sign chain needs -1 to be a non-square")
-    if b.key[0] != 1:
+    if not b.key & 2:
         raise NotRamifiedClass(f"class [{b.label}] has even valuation")
     if seed not in (1, -1):
         raise ValueError("seed must be +1 or -1")
-    minus_one = square_class(field.elt(-1))
-    one = SquareClass(field, (0, 0))
+    minus_one = SquareClass(field, field.minus_one_key)
+    one = SquareClass(field, 0)
     a = minus_one * b
     minus_a = b  # -a = -(-b) = b
     order = (one, minus_one, a, minus_a)

@@ -23,48 +23,11 @@ from .local_field import (
 
 
 @dataclass(frozen=True)
-class SquareClassGroup:
-    """E*/E*^2 as a Klein four-group with the canonical representatives."""
-
-    field: LocalField
-
-    @property
-    def elements(self) -> tuple:
-        return square_class_reps(self.field)
-
-    @property
-    def identity(self) -> SquareClass:
-        return SquareClass(self.field, (0, 0))
-
-    def table(self):
-        """4x4 multiplication table (entries are SquareClass)."""
-        els = self.elements
-        return [[a * b for b in els] for a in els]
-
-
-@dataclass(frozen=True)
 class GenuineZCharacter:
     """A genuine central character: restriction tag plus quadratic twist."""
 
     central_tag: str
     twist: SquareClass
-
-
-@dataclass(frozen=True)
-class OmegaSet:
-    """All four genuine characters lying over one central tag."""
-
-    central_tag: str
-    members: tuple
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-    def __iter__(self):
-        return iter(self.members)
-
-    def __contains__(self, mu) -> bool:
-        return mu in self.members
 
 
 def chi_a_eval(a: FieldElement, x: FieldElement) -> Sign:
@@ -78,10 +41,10 @@ def chi_a_eval(a: FieldElement, x: FieldElement) -> Sign:
     return hilbert(a, x)
 
 
-def omega_of(field: LocalField, tag: str = "omega") -> OmegaSet:
-    """The torsor of genuine characters over a fixed central tag."""
-    members = tuple(GenuineZCharacter(tag, c) for c in square_class_reps(field))
-    return OmegaSet(tag, members)
+def omega_of(field: LocalField, tag: str = "omega") -> tuple:
+    """The torsor of genuine characters over a fixed central tag, one per
+    square class in canonical order."""
+    return tuple(GenuineZCharacter(tag, c) for c in square_class_reps(field))
 
 
 def conjugate_char(mu: GenuineZCharacter, a: FieldElement) -> GenuineZCharacter:

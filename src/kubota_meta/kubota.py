@@ -50,10 +50,6 @@ from .hilbert import Sign, hilbert, pair_class_keys
 from .local_field import FieldElement, LocalField, _class_key, _reduced
 
 
-def _kxor(k1: tuple, k2: tuple) -> tuple:
-    return (k1[0] ^ k2[0], k1[1] ^ k2[1])
-
-
 # ---------------------------------------------------------------------------
 # 2x2 matrices as nine ints (A_a, B_a, A_b, B_b, A_c, B_c, A_d, B_d, D)
 
@@ -180,7 +176,7 @@ class Mat2:
 
     @classmethod
     def identity(cls, field: LocalField) -> "Mat2":
-        return _mat2(field, (1, 0, 0, 0, 0, 0, 1, 0, 1), (0, 0))
+        return _mat2(field, (1, 0, 0, 0, 0, 0, 1, 0, 1), 0)
 
     @classmethod
     def diag(cls, x: FieldElement, y: FieldElement) -> "Mat2":
@@ -201,7 +197,7 @@ class Mat2:
             raise FieldMismatch("matrix product across different fields")
         # det key of a product is free once the factors are keyed
         return _mat2(f, _product(f, self._q, other._q),
-                     _kxor(self.det_key(), other.det_key()))
+                     self.det_key() ^ other.det_key())
 
     def inverse(self) -> "Mat2":
         """The adjugate divided by the determinant."""
@@ -212,14 +208,14 @@ class Mat2:
         # class keys are 2-torsion, so det and 1/det share one
         return _mat2(f, tuple(s * X for X in q) + (abs(n),), self._kdet)
 
-    def det_key(self) -> tuple:
+    def det_key(self) -> int:
         if self._kdet is None:
             # det = (P + Q sqrt d) / (D^2 dd), and D^2 is a square
             f = self.field
             self._kdet = _class_key(f, *_det_ints(f, self._q), f._d_den)
         return self._kdet
 
-    def x_key(self) -> tuple:
+    def x_key(self) -> int:
         """Square-class key of x(g) = c if c != 0 else d."""
         if self._kx is None:
             q = self._q
@@ -266,7 +262,7 @@ def p_part(g: Mat2) -> Mat2:
     m = abs(n)
     s = D * D * f._d_den if n > 0 else -D * D * f._d_den
     return _mat2(f, (a0 * m, a1 * m, b0 * m, b1 * m,
-                     *(s * X for X in bottom), D * m), (0, 0))
+                     *(s * X for X in bottom), D * m), 0)
 
 
 def conj_by_det(g: Mat2, y: FieldElement) -> Mat2:
@@ -321,23 +317,21 @@ def beta(g1: Mat2, g2: Mat2, product: Mat2 = None) -> Sign:
     h = product if product is not None else g1 @ g2
     kd1 = g1.det_key()
     kd2 = g2.det_key()
-    kd12 = _kxor(kd1, kd2)
+    kd12 = kd1 ^ kd2
 
     c1 = g1._q[4] or g1._q[5]
     # x(p(g1)^(det g2)) = c1/(det1 det2) if c1 != 0 else d1/det1
-    kx1 = _kxor(g1.x_key(), _kxor(kd1, kd2) if c1 else kd1)
+    kx1 = g1.x_key() ^ (kd12 if c1 else kd1)
     # x(p(g2)) = c2/det2 if c2 != 0 else d2/det2
-    kx2 = _kxor(g2.x_key(), kd2)
+    kx2 = g2.x_key() ^ kd2
     # x(p(g1 g2)), using p(g1 g2) = p(g1)^(det g2) p(g2)
-    kx12 = _kxor(h.x_key(), kd12)
+    kx12 = h.x_key() ^ kd12
 
-    kminus = (0, 0) if field.minus_one_is_square else (0, 1)
-    kmid = _kxor(kminus, _kxor(kx1, kx2))
-
-    sign = pair_class_keys(field, kx1, kx2) * pair_class_keys(field, kmid, kx12)
+    sign = (pair_class_keys(field, kx1, kx2)
+            * pair_class_keys(field, field.minus_one_key ^ kx1 ^ kx2, kx12))
     if not c1:
-        # v(det g2, p(g1)) = (det g2, d1/det1)
-        sign *= pair_class_keys(field, kd2, _kxor(g1.x_key(), kd1))
+        # v(det g2, p(g1)) = (det g2, d1/det1), and d1/det1 has the key kx1
+        sign *= pair_class_keys(field, kd2, kx1)
     return sign
 
 

@@ -179,7 +179,7 @@ class LocalField:
             m = 1
             while True:
                 cand = self.elt(m, 1)
-                if class_key(cand) != (0, 0):
+                if not is_square(cand):
                     return cand
                 m += 1
         n = 2
@@ -200,6 +200,11 @@ class LocalField:
     def minus_one_is_square(self) -> bool:
         # residue field F_{p^2} always contains i; F_p does iff p = 1 mod 4
         return True if self.kind == "unram" else self.p % 4 == 1
+
+    @cached_property
+    def minus_one_key(self) -> int:
+        """:func:`class_key` of -1: a unit, so 0 or 1."""
+        return 0 if self.minus_one_is_square else 1
 
     # -- formatting -----------------------------------------------------------
 
@@ -580,24 +585,28 @@ def unit_part(x: FieldElement) -> ResidueElement:
     return ResidueElement(x.field, r0, r1)
 
 
-def class_key(x: FieldElement) -> tuple:
-    """Square-class invariant (v mod 2, 0 if the unit part is a square else 1).
+def class_key(x: FieldElement) -> int:
+    """Square-class invariant k = 2*(v mod 2) + (0 if the unit part is a
+    square else 1), an int in 0..3.
 
-    This pair is a group isomorphism E*/E*^2 -> (Z/2)^2 at odd p, and is
-    the only data the Hilbert symbol ever consumes.
+    Bit 1 is the valuation parity and bit 0 the unit-part sign, so k is a
+    group isomorphism E*/E*^2 -> (Z/2)^2 at odd p with XOR as the product:
+    class_key(x*y) == class_key(x) ^ class_key(y).  k also indexes the
+    canonical representatives (1, u, pi, u*pi), and it is the only data
+    the Hilbert symbol ever consumes.
     """
     return _class_key(x.field, x._A, x._B, x._D)
 
 
-def _class_key(f: LocalField, A: int, B: int, D: int) -> tuple:
+def _class_key(f: LocalField, A: int, B: int, D: int) -> int:
     """:func:`class_key` of (A + B*sqrt(d)) / D, D > 0, in any terms."""
     v, r0, r1 = _valuation_and_residue(f, A, B, D)
-    return (v & 1, 0 if _residue_is_square(f, r0, r1) else 1)
+    return 2 * (v & 1) + (0 if _residue_is_square(f, r0, r1) else 1)
 
 
 def is_square(x: FieldElement) -> bool:
     """Odd-p criterion: even valuation and unit part a residue square."""
-    return class_key(x) == (0, 0)
+    return class_key(x) == 0
 
 
 @dataclass(frozen=True)
@@ -605,12 +614,12 @@ class SquareClass:
     """A coset of E*^2 in E*, identified by its :func:`class_key`."""
 
     field: LocalField
-    key: tuple
+    key: int
 
     @property
     def rep(self) -> FieldElement:
         """Canonical representative, one of {1, u, pi, u*pi}."""
-        return self.field._rep_elements[2 * self.key[0] + self.key[1]]
+        return self.field._rep_elements[self.key]
 
     @property
     def label(self) -> str:
@@ -619,9 +628,7 @@ class SquareClass:
     def __mul__(self, other: "SquareClass") -> "SquareClass":
         if self.field != other.field:
             raise FieldMismatch("square classes of different fields")
-        return SquareClass(
-            self.field, (self.key[0] ^ other.key[0], self.key[1] ^ other.key[1])
-        )
+        return SquareClass(self.field, self.key ^ other.key)
 
     def __repr__(self) -> str:
         return f"[{self.label}]"
@@ -632,21 +639,12 @@ def square_class(x: FieldElement) -> SquareClass:
 
 
 def square_class_reps(field: LocalField) -> tuple:
-    """The four classes in canonical order (1, u, pi, u*pi)."""
-    return (
-        SquareClass(field, (0, 0)),
-        SquareClass(field, (0, 1)),
-        SquareClass(field, (1, 0)),
-        SquareClass(field, (1, 1)),
-    )
+    """The four classes in canonical order (1, u, pi, u*pi): keys 0..3."""
+    return tuple(SquareClass(field, k) for k in range(4))
 
 
 # ---------------------------------------------------------------------------
 # maps between E and F
-
-
-def galois_conjugate(x: FieldElement) -> FieldElement:
-    return x.conj()
 
 
 def norm(x: FieldElement) -> FieldElement:

@@ -21,6 +21,18 @@ from .local_field import FieldElement, LocalField, make_field
 
 _FIELD_RE = re.compile(r"^Qp\((\d+)\)(?:\[(unram|ram):(-?\d+(?:/\d+)?)\])?$")
 _TERM_RE = re.compile(r"[+-]?[^+-]+")
+_RATIONAL_RE = re.compile(r"[+-]?\d+(?:/\d+)?")
+
+
+def _rational(text: str) -> Fraction:
+    """A coefficient in the grammar's form ``2`` or ``-1/3``.
+
+    ``Fraction`` alone also takes ``1.5`` and ``1e1000000``, and expands
+    the exponent into an int of millions of bits before it returns.
+    """
+    if not _RATIONAL_RE.fullmatch(text):
+        raise ValueError(f"{text!r} is not a rational")
+    return Fraction(text)
 
 
 def parse_field_spec(s: str) -> LocalField:
@@ -61,9 +73,9 @@ def parse_element(field: LocalField, s: str) -> FieldElement:
                 elif coef == "-":
                     b -= 1
                 else:
-                    b += Fraction(coef)
+                    b += _rational(coef)
             else:
-                a += Fraction(term)
+                a += _rational(term)
         except (ValueError, ZeroDivisionError):
             raise ParseError(f"bad term {term!r} in element literal {s!r}") from None
     if pos != len(text):

@@ -455,7 +455,7 @@ def _omega_image_subgroup(run, _):
     if len(image) != 2:
         return f"norm-trivial image has order {len(image)}, expected 2"
     keys = {cls.key for cls in image}
-    if (0, 0) not in keys:
+    if 0 not in keys:
         return "image misses the identity class"
     for u in image:
         for v in image:
@@ -651,7 +651,7 @@ def _packets_epsilon_sign_chain(run, case):
         except MinusOneIsSquare:
             return None
         return "sign chain defined although -1 is a square"
-    if b.key[0] != 1:
+    if not b.key & 2:
         try:
             epsilon_sign_chain(field, b, seed)
         except NotRamifiedClass:

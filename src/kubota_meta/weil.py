@@ -274,7 +274,7 @@ def weil_index(a: FieldElement, psi: AdditiveChar) -> EighthRoot:
     if a.field != psi.field:
         raise FieldMismatch("argument lies in a different field")
     key = class_key(a)
-    eighths = _class_eighths(psi.field)[2 * key[0] + key[1]]
+    eighths = _class_eighths(psi.field)[key]
     if pair_class_keys(psi.field, key, class_key(psi.scale)) == -1:
         eighths += 4
     return EighthRoot(Fraction(eighths, 8))

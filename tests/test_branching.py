@@ -50,7 +50,7 @@ def cls(field, key):
 
 def subgroups(field):
     """All five subgroups of the square-class four-group."""
-    one = cls(field, (0, 0))
+    one = cls(field, 0)
     reps = square_class_reps(field)
     subs = [frozenset({one})]
     subs += [frozenset({one, r}) for r in reps[1:]]
@@ -64,31 +64,31 @@ def subgroups(field):
 
 def test_self_twist_set_must_be_a_subgroup_containing_one():
     with pytest.raises(ValueError):
-        TauTwistModel(Q5, frozenset({cls(Q5, (0, 1))}), True)
-    bad = frozenset({cls(Q5, (0, 0)), cls(Q5, (0, 1)), cls(Q5, (1, 0))})
+        TauTwistModel(Q5, frozenset({cls(Q5, 1)}), True)
+    bad = frozenset({cls(Q5, 0), cls(Q5, 1), cls(Q5, 2)})
     with pytest.raises(ValueError):
         TauTwistModel(Q5, bad, True)
 
 
 def test_principal_series_self_twists_must_avoid_minus_one():
     # over Q3 the ramified classes pair -1 against -1
-    S = frozenset({cls(Q3, (0, 0)), cls(Q3, (1, 0))})
+    S = frozenset({cls(Q3, 0), cls(Q3, 2)})
     with pytest.raises(ValueError):
         TauTwistModel(Q3, S, False)
     TauTwistModel(Q3, S, True)                      # discrete: fine
-    TauTwistModel(Q3, frozenset({cls(Q3, (0, 0)), cls(Q3, (0, 1))}), False)
+    TauTwistModel(Q3, frozenset({cls(Q3, 0), cls(Q3, 1)}), False)
     # over Q5 every class is orthogonal to -1, so even the full group works
     TauTwistModel(Q5, frozenset(square_class_reps(Q5)), False)
 
 
 def test_whittaker_support_rules():
-    m = TauTwistModel(Q5, frozenset({cls(Q5, (0, 0))}), True)
-    assert m.whittaker_support == frozenset({cls(Q5, (0, 0))})
+    m = TauTwistModel(Q5, frozenset({cls(Q5, 0)}), True)
+    assert m.whittaker_support == frozenset({cls(Q5, 0)})
     with pytest.raises(ValueError):
-        TauTwistModel(Q5, frozenset({cls(Q5, (0, 0))}), True,
+        TauTwistModel(Q5, frozenset({cls(Q5, 0)}), True,
                       whittaker_support=frozenset())
     with pytest.warns(UserWarning):
-        TauTwistModel(Q5, frozenset({cls(Q5, (0, 0))}), True,
+        TauTwistModel(Q5, frozenset({cls(Q5, 0)}), True,
                       whittaker_support=frozenset(square_class_reps(Q5)))
 
 
@@ -97,12 +97,12 @@ def test_whittaker_support_rules():
 
 
 def test_multiplicity_frozen_cases():
-    one3 = cls(Q3, (0, 0))
+    one3 = cls(Q3, 0)
     # S = {1, a} with (a, -1) = -1: only the identity survives
-    m = TauTwistModel(Q3, frozenset({one3, cls(Q3, (1, 0))}), True)
+    m = TauTwistModel(Q3, frozenset({one3, cls(Q3, 2)}), True)
     assert multiplicity(m) == 1
     # S = {1, a} with (a, -1) = +1
-    m = TauTwistModel(Q3, frozenset({one3, cls(Q3, (0, 1))}), True)
+    m = TauTwistModel(Q3, frozenset({one3, cls(Q3, 1)}), True)
     assert multiplicity(m) == 2
     # full group over Q3: the two ramified classes drop out
     m = TauTwistModel(Q3, frozenset(square_class_reps(Q3)), True)
@@ -110,7 +110,7 @@ def test_multiplicity_frozen_cases():
     # full group over Q5: -1 is a square, nothing drops
     m = TauTwistModel(Q5, frozenset(square_class_reps(Q5)), False)
     assert multiplicity(m) == 4
-    m = TauTwistModel(Q5, frozenset({cls(Q5, (0, 0))}), False)
+    m = TauTwistModel(Q5, frozenset({cls(Q5, 0)}), False)
     assert multiplicity(m) == 1
 
 
@@ -126,12 +126,12 @@ def test_multiplicity_equals_surviving_twist_count():
 
 
 def test_packet_product_frozen_triples():
-    one3 = cls(Q3, (0, 0))
+    one3 = cls(Q3, 0)
     got = packet_product(TauTwistModel(Q3, frozenset({one3}), True))
     assert (got["m1"], got["m2"], got["product"]) == (8, 1, 8)
     got = packet_product(TauTwistModel(Q3, frozenset(square_class_reps(Q3)), True))
     assert (got["m1"], got["m2"], got["product"]) == (2, 4, 8)
-    S = frozenset({cls(Q3, (0, 0)), cls(Q3, (0, 1))})
+    S = frozenset({cls(Q3, 0), cls(Q3, 1)})
     got = packet_product(TauTwistModel(Q3, S, False))
     assert (got["m1"], got["m2"], got["product"]) == (2, 2, 4)
 
@@ -154,19 +154,19 @@ def test_packet_product_exhaustive_invariant():
 
 
 def test_waldspurger_involution_flags():
-    S = frozenset({cls(Q3, (0, 0)), cls(Q3, (1, 0))})
+    S = frozenset({cls(Q3, 0), cls(Q3, 2)})
     m = TauTwistModel(Q3, S, True)
-    assert is_waldspurger_conjugate(m, cls(Q3, (1, 0)))
-    assert not is_waldspurger_conjugate(m, cls(Q3, (0, 0)))
-    assert not is_waldspurger_conjugate(m, cls(Q3, (0, 1)))   # not in S
-    assert not is_waldspurger_conjugate(m, cls(Q3, (1, 1)))   # not in S
+    assert is_waldspurger_conjugate(m, cls(Q3, 2))
+    assert not is_waldspurger_conjugate(m, cls(Q3, 0))
+    assert not is_waldspurger_conjugate(m, cls(Q3, 1))   # not in S
+    assert not is_waldspurger_conjugate(m, cls(Q3, 3))   # not in S
     with pytest.raises(NotDiscrete):
         is_waldspurger_conjugate(
-            TauTwistModel(Q3, frozenset({cls(Q3, (0, 0))}), False),
-            cls(Q3, (0, 0)))
+            TauTwistModel(Q3, frozenset({cls(Q3, 0)}), False),
+            cls(Q3, 0))
     # -1 a square: the involution never moves anything
     m5 = TauTwistModel(Q5, frozenset(square_class_reps(Q5)), True,
-                       whittaker_support=frozenset({cls(Q5, (0, 0))}))
+                       whittaker_support=frozenset({cls(Q5, 0)}))
     for a in square_class_reps(Q5):
         assert not is_waldspurger_conjugate(m5, a)
 
@@ -191,18 +191,18 @@ def test_every_two_class_support_has_a_complement(field):
 def test_complement_for_off_identity_coset():
     # {u, pi} is a coset of {1, u*pi}; the complement shift must come from
     # outside that stabilizer even though 1 is already outside the support
-    support = frozenset({cls(Q5, (0, 1)), cls(Q5, (1, 0))})
+    support = frozenset({cls(Q5, 1), cls(Q5, 2)})
     b = complementary_support(support, Q5)
-    assert b == cls(Q5, (0, 1))
+    assert b == cls(Q5, 1)
     assert frozenset(b * s for s in support) == \
-        frozenset({cls(Q5, (0, 0)), cls(Q5, (1, 1))})
+        frozenset({cls(Q5, 0), cls(Q5, 3)})
 
 
 def test_complement_guards():
     with pytest.raises(MinusOneNotSquare):
-        complementary_support(frozenset({cls(Q3, (0, 0)), cls(Q3, (0, 1))}), Q3)
+        complementary_support(frozenset({cls(Q3, 0), cls(Q3, 1)}), Q3)
     with pytest.raises(NotACoset):
-        complementary_support(frozenset({cls(Q5, (0, 0))}), Q5)
+        complementary_support(frozenset({cls(Q5, 0)}), Q5)
     with pytest.raises(NotACoset):
         complementary_support(frozenset(square_class_reps(Q5)), Q5)
 
@@ -212,24 +212,24 @@ def test_complement_guards():
 
 
 def test_sign_chain_frozen_assignment():
-    out = epsilon_sign_chain(Q3, cls(Q3, (1, 0)), seed=1)
-    one = cls(Q3, (0, 0))
+    out = epsilon_sign_chain(Q3, cls(Q3, 2), seed=1)
+    one = cls(Q3, 0)
     minus_one = square_class(Q3.elt(-1))
     a = out["a"]
-    assert out["order"] == (one, minus_one, a, cls(Q3, (1, 0)))
+    assert out["order"] == (one, minus_one, a, cls(Q3, 2))
     assert [out["assignment"][c] for c in out["order"]] == [1, -1, -1, 1]
     assert out["holds"]
 
 
 @pytest.mark.parametrize("field", [Q3, Q7, make_field(3, ("ram", 3))])
-@pytest.mark.parametrize("key", [(1, 0), (1, 1)])
+@pytest.mark.parametrize("key", [2, 3], ids=["key0", "key1"])
 @pytest.mark.parametrize("seed", [1, -1])
 def test_sign_chain_relation_everywhere(field, key, seed):
     b = cls(field, key)
     out = epsilon_sign_chain(field, b, seed=seed)
     assignment, a = out["assignment"], out["a"]
     assert set(out["order"]) == set(square_class_reps(field))
-    assert assignment[cls(field, (0, 0))] == seed
+    assert assignment[cls(field, 0)] == seed
     # the chain relation, recomputed here instead of trusting `holds`
     for x in out["order"]:
         assert assignment[x] == -assignment[a * x]
@@ -238,11 +238,11 @@ def test_sign_chain_relation_everywhere(field, key, seed):
 
 def test_sign_chain_guards():
     with pytest.raises(MinusOneIsSquare):
-        epsilon_sign_chain(Q5, cls(Q5, (1, 0)))
+        epsilon_sign_chain(Q5, cls(Q5, 2))
     with pytest.raises(NotRamifiedClass):
-        epsilon_sign_chain(Q3, cls(Q3, (0, 1)))
+        epsilon_sign_chain(Q3, cls(Q3, 1))
     with pytest.raises(ValueError):
-        epsilon_sign_chain(Q3, cls(Q3, (1, 0)), seed=0)
+        epsilon_sign_chain(Q3, cls(Q3, 2), seed=0)
 
 
 # ---------------------------------------------------------------------------

@@ -81,6 +81,10 @@ def test_parse_element_forms():
         (Q5, "1/0"),
         (Q5, "++1"),
         (E5U, "sqrt*2"),
+        (Q5, "1.5"),
+        (Q5, "1e3"),
+        (Q5, "1e1000000000"),  # Fraction would expand the exponent
+        (E5U, "1.5*sqrt"),
     ],
 )
 def test_parse_element_bad(field, text):
