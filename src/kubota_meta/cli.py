@@ -1,10 +1,13 @@
 """Command line front end.
 
-Every subcommand takes ``--field`` (except ``selftest-all``), the shared
-``--trials/--seed/--height/--format/--timings`` flags, and prints one
-report or value to stdout.  Output is byte-identical across runs for a
-fixed seed unless ``--timings`` is passed.  Exit status: 0 when every
-check passes, 1 when a check fails, 2 for usage or domain errors.
+Every subcommand takes ``--field`` (except ``selftest-all``) and the shared
+``--trials/--seed/--height/--format/--timings`` flags.  Its handler returns
+``(ok, doc, rows, text)``: the JSON document, the CSV rows (header first)
+and the text lines of one report or value; `main` writes the one that
+``--format`` picks to stdout, and nothing else writes there.  Output is
+byte-identical across runs for a fixed seed unless ``--timings`` is
+passed.  Exit status: 0 when every check passes, 1 when a check fails, 2
+for usage or domain errors, with one ``error:`` line on stderr.
 
 The environment variable KUBOTA_META_SEED overrides the default seed; an
 explicit ``--seed`` beats both.
@@ -31,12 +34,7 @@ from .errors import KubotaMetaError
 from .hilbert import hilbert
 from .kubota import beta
 from .local_field import format_element, square_class_reps
-from .parsing import (
-    parse_element,
-    parse_field_spec,
-    parse_matrix,
-    parse_matrix_entries,
-)
+from .parsing import parse_element, parse_field_spec, parse_matrix, parse_matrix_entries
 from .suites import Report, RunConfig, class_subgroups, run_suite, selftest_reports
 from .weil import standard_char, weil_index
 
@@ -119,165 +117,128 @@ def build_parser() -> argparse.ArgumentParser:
 # rendering
 
 
-def _emit(line: str) -> None:
-    sys.stdout.write(line + "\n")
-
-
-def _emit_json(obj) -> None:
-    _emit(json.dumps(obj, indent=2))
-
-
-def _csv_writer():
-    buf = io.StringIO()
-    return buf, csv.writer(buf, lineterminator="\n")
-
-
-def emit_report(report: Report, fmt: str) -> int:
+def _render(fmt: str, doc: dict, rows: list, text: list) -> None:
+    """Write one command's output: the document, the table or the lines."""
     if fmt == "json":
-        _emit_json(report.to_dict())
+        out = json.dumps(doc, indent=2) + "\n"
     elif fmt == "csv":
-        buf, w = _csv_writer()
-        header = ["name", "trials", "failures", "witnesses"]
-        if report.config.timings:
-            header.append("elapsed_ms")
-        w.writerow(header)
-        for c in report.checks:
-            row = [c.name, c.trials, c.failures, " | ".join(c.witnesses)]
-            if report.config.timings:
-                row.append(round(c.elapsed_ms, 3))
-            w.writerow(row)
-        sys.stdout.write(buf.getvalue())
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows(rows)
+        out = buf.getvalue()
     else:
-        cfg = report.config
-        _emit(f"{report.command}  field={cfg.field_spec} seed={cfg.seed} "
-              f"trials={cfg.trials} height={cfg.height}")
-        for c in report.checks:
-            status = "PASS" if c.passed else "FAIL"
-            suffix = f"  [{c.elapsed_ms:.1f} ms]" if cfg.timings else ""
-            _emit(f"  {status}  {c.name}  trials={c.trials} failures={c.failures}{suffix}")
-            for wtn in c.witnesses:
-                _emit(f"        witness: {wtn}")
-        _emit(f"overall: {'PASS' if report.passed else 'FAIL'}")
-    return 0 if report.passed else 1
+        out = "".join(line + "\n" for line in text)
+    sys.stdout.write(out)
 
 
-def emit_value(payload: dict, fmt: str, text_value: str) -> int:
-    if fmt == "json":
-        _emit_json(payload)
-    elif fmt == "csv":
-        buf, w = _csv_writer()
-        keys = [k for k in payload if k != "schema"]
-        w.writerow(keys)
-        w.writerow([payload[k] for k in keys])
-        sys.stdout.write(buf.getvalue())
-    else:
-        _emit(text_value)
-    return 0
+def _value(args, values: dict, text: list, ok: bool = True) -> tuple:
+    """The output of one evaluation: the CSV is the document's keys but
+    ``schema`` over their values."""
+    doc = {"schema": 1, "command": args.command, "field": args.field, **values}
+    keys = [k for k in doc if k != "schema"]
+    return ok, doc, [keys, [doc[k] for k in keys]], text
+
+
+def _check_rows(reports: list, timings: bool, by_field: bool = False) -> list:
+    """The CSV of the checks of ``reports``: one suite's rows end with the
+    witnesses; ``by_field`` rows start with the field and have none."""
+    header = ["name", "trials", "failures"]
+    header = ["field", *header] if by_field else [*header, "witnesses"]
+    rows = [header + ["elapsed_ms"] * timings]
+    for r in reports:
+        for c in r.checks:
+            row = [c.name, c.trials, c.failures]
+            row = [r.config.field_spec, *row] if by_field else [*row, " | ".join(c.witnesses)]
+            rows.append(row + [round(c.elapsed_ms, 3)] * timings)
+    return rows
+
+
+def _report_text(report: Report) -> list:
+    cfg = report.config
+    lines = [f"{report.command}  field={cfg.field_spec} seed={cfg.seed} "
+             f"trials={cfg.trials} height={cfg.height}"]
+    for c in report.checks:
+        status = "PASS" if c.passed else "FAIL"
+        suffix = f"  [{c.elapsed_ms:.1f} ms]" if cfg.timings else ""
+        lines.append(f"  {status}  {c.name}  trials={c.trials} failures={c.failures}{suffix}")
+        lines += [f"        witness: {w}" for w in c.witnesses]
+    lines.append(f"overall: {'PASS' if report.passed else 'FAIL'}")
+    return lines
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each returns (ok, JSON document, CSV rows, text lines)
 
 
 def _config(args, field_spec=None) -> RunConfig:
     seed = args.seed if args.seed is not None else _default_seed()
-    return RunConfig(
-        field_spec=field_spec if field_spec is not None else args.field,
-        trials=args.trials,
-        seed=seed,
-        height=args.height,
-        timings=args.timings,
-    )
+    return RunConfig(field_spec or args.field, args.trials, seed, args.height, args.timings)
 
 
-def _cmd_hilbert(args) -> int:
+def _suite(args, suite: str) -> tuple:
+    report = run_suite(_config(args), suite)
+    return (report.passed, report.to_dict(), _check_rows([report], args.timings),
+            _report_text(report))
+
+
+def _cmd_hilbert(args) -> tuple:
     if (args.x is None) != (args.y is None):
         raise KubotaMetaError("hilbert needs both x and y, or neither")
     if args.x is None:
-        return emit_report(run_suite(_config(args), "hilbert"), args.fmt)
+        return _suite(args, "hilbert")
     field = parse_field_spec(args.field)
     x = parse_element(field, args.x)
     y = parse_element(field, args.y)
     value = hilbert(x, y)
-    payload = {
-        "schema": 1,
-        "command": "hilbert",
-        "field": args.field,
-        "x": format_element(x),
-        "y": format_element(y),
-        "value": value,
-    }
-    return emit_value(payload, args.fmt, f"{value:+d}")
+    return _value(args, {"x": format_element(x), "y": format_element(y), "value": value},
+                  [f"{value:+d}"])
 
 
-def _cmd_cocycle(args) -> int:
+def _cmd_cocycle(args) -> tuple:
     if (args.g1 is None) != (args.g2 is None):
         raise KubotaMetaError("cocycle needs both matrices, or neither")
     if args.g1 is None:
-        return emit_report(run_suite(_config(args), "cocycle"), args.fmt)
+        return _suite(args, "cocycle")
     field = parse_field_spec(args.field)
     g1 = parse_matrix(field, args.g1)
     g2 = parse_matrix(field, args.g2)
     value = beta(g1, g2)
-    payload = {
-        "schema": 1,
-        "command": "cocycle",
-        "field": args.field,
-        "g1": repr(g1),
-        "g2": repr(g2),
-        "value": value,
-    }
-    return emit_value(payload, args.fmt, f"{value:+d}")
+    return _value(args, {"g1": repr(g1), "g2": repr(g2), "value": value}, [f"{value:+d}"])
 
 
-def _cmd_indices(args) -> int:
+def _cmd_indices(args) -> tuple:
     field = parse_field_spec(args.field)
     sq = len(square_class_reps(field))
     idx = index_FEsq(field)
     agreeing = count_agreeing_extensions(field)
     ok = sq == 4 and idx == 2 and agreeing == 2
-    payload = {
-        "schema": 1,
-        "command": "indices",
-        "field": args.field,
-        "square_classes": sq,
-        "index_norm_image": idx,
-        "agreeing_characters": agreeing,
-        "pass": ok,
-    }
-    text = (f"square classes: {sq}\nindex of base classes: {idx}\n"
-            f"agreeing characters: {agreeing}\noverall: {'PASS' if ok else 'FAIL'}")
-    rc = emit_value(payload, args.fmt, text)
-    return rc if ok else 1
+    values = {"square_classes": sq, "index_norm_image": idx,
+              "agreeing_characters": agreeing, "pass": ok}
+    text = [f"square classes: {sq}", f"index of base classes: {idx}",
+            f"agreeing characters: {agreeing}", f"overall: {'PASS' if ok else 'FAIL'}"]
+    return _value(args, values, text, ok)
 
 
-def _cmd_weil(args) -> int:
+def _cmd_weil(args) -> tuple:
     if args.a is None:
         if args.psi_scale is not None:
             raise KubotaMetaError("--psi-scale only applies to a single evaluation")
-        return emit_report(run_suite(_config(args), "weil"), args.fmt)
+        return _suite(args, "weil")
     field = parse_field_spec(args.field)
     psi = standard_char(field)
     if args.psi_scale is not None:
         psi = psi.scaled(parse_element(field, args.psi_scale))
     a = parse_element(field, args.a)
     root = weil_index(a, psi)
-    payload = {
-        "schema": 1,
-        "command": "weil",
-        "field": args.field,
-        "a": format_element(a),
-        "psi_scale": format_element(psi.scale),
-        "gamma": root.label,
-        "gamma_eighths": root.eighths,
-    }
-    return emit_value(payload, args.fmt, root.label)
+    values = {"a": format_element(a), "psi_scale": format_element(psi.scale),
+              "gamma": root.label, "gamma_eighths": root.eighths}
+    return _value(args, values, [root.label])
 
 
-def _cmd_multiplicity_table(args) -> int:
+def _cmd_multiplicity_table(args) -> tuple:
     field = parse_field_spec(args.field)
     classes, subgroups = class_subgroups(field)
-    rows = []
+    header = ["S", "discrete", "m", "m1", "m2", "product"]
+    table = []
     for S in subgroups:
         desc = "+".join(c.label for c in sorted(S, key=lambda c: c.key))
         for discrete in (True, False):
@@ -286,110 +247,57 @@ def _cmd_multiplicity_table(args) -> int:
             except ValueError:
                 continue
             out = packet_product(model)
-            rows.append({
-                "S": desc,
-                "discrete": discrete,
-                "m": multiplicity(model),
-                "m1": out["m1"],
-                "m2": out["m2"],
-                "product": out["product"],
-            })
-    if args.fmt == "json":
-        _emit_json({
-            "schema": 1,
-            "command": "multiplicity-table",
-            "field": args.field,
-            "rows": rows,
-        })
-        return 0
-    header = ["S", "discrete", "m", "m1", "m2", "product"]
-    cells = [[r["S"], str(r["discrete"]).lower(), r["m"], r["m1"], r["m2"], r["product"]]
-             for r in rows]
-    if args.fmt == "csv":
-        buf, w = _csv_writer()
-        w.writerow(header)
-        w.writerows(cells)
-        sys.stdout.write(buf.getvalue())
-    else:
-        for row in cells:
-            _emit(" ".join(f"{k}={v}" for k, v in zip(header, row)))
-    return 0
+            table.append(dict(zip(header, (desc, discrete, multiplicity(model),
+                                           out["m1"], out["m2"], out["product"]))))
+    rows = [[str(v).lower() if k == "discrete" else v for k, v in r.items()] for r in table]
+    text = [" ".join(f"{k}={v}" for k, v in zip(header, row)) for row in rows]
+    doc = {"schema": 1, "command": "multiplicity-table", "field": args.field, "rows": table}
+    return True, doc, [header] + rows, text
 
 
-def _cmd_orbit(args) -> int:
+def _cmd_orbit(args) -> tuple:
     field = parse_field_spec(args.field)
     entries = parse_matrix_entries(field, args.matrix)
     nil = NilpotentSl2.from_entries(field, *entries)
     cls = orbit_invariant(nil)
-    payload = {
-        "schema": 1,
-        "command": "orbit",
-        "field": args.field,
-        "matrix": repr(nil),
-        "orbit_class": cls.label,
-    }
-    return emit_value(payload, args.fmt, cls.label)
+    return _value(args, {"matrix": repr(nil), "orbit_class": cls.label}, [cls.label])
 
 
-def _cmd_selftest_all(args) -> int:
-    seed = args.seed if args.seed is not None else _default_seed()
-    config = RunConfig(field_spec="Qp(3)", trials=args.trials, seed=seed,
-                       height=args.height, timings=args.timings)
+def _cmd_selftest_all(args) -> tuple:
+    config = _config(args, "Qp(3)")
     reports = selftest_reports(config)
     ok = all(r.passed for r in reports)
-    if args.fmt == "json":
-        _emit_json({
-            "schema": 1,
-            "command": "selftest-all",
-            "config": {"trials": args.trials, "seed": seed, "height": args.height},
-            "reports": [r.to_dict() for r in reports],
-            "pass": ok,
-        })
-    elif args.fmt == "csv":
-        buf, w = _csv_writer()
-        header = ["field", "name", "trials", "failures"]
-        if args.timings:
-            header.append("elapsed_ms")
-        w.writerow(header)
-        for r in reports:
-            for c in r.checks:
-                row = [r.config.field_spec, c.name, c.trials, c.failures]
-                if args.timings:
-                    row.append(round(c.elapsed_ms, 3))
-                w.writerow(row)
-        sys.stdout.write(buf.getvalue())
-    else:
-        for r in reports:
-            emit_report(r, "text")
-        _emit(f"selftest-all: {'PASS' if ok else 'FAIL'}")
-    return 0 if ok else 1
+    doc = {"schema": 1, "command": "selftest-all",
+           "config": {"trials": config.trials, "seed": config.seed, "height": config.height},
+           "reports": [r.to_dict() for r in reports], "pass": ok}
+    text = [line for r in reports for line in _report_text(r)]
+    text.append(f"selftest-all: {'PASS' if ok else 'FAIL'}")
+    return ok, doc, _check_rows(reports, args.timings, by_field=True), text
 
 
 _DISPATCH = {
     "hilbert": _cmd_hilbert,
     "cocycle": _cmd_cocycle,
-    "split-check": lambda args: emit_report(run_suite(_config(args), "split"), args.fmt),
-    "omega": lambda args: emit_report(run_suite(_config(args), "omega"), args.fmt),
+    "split-check": lambda args: _suite(args, "split"),
+    "omega": lambda args: _suite(args, "omega"),
     "indices": _cmd_indices,
     "weil": _cmd_weil,
     "multiplicity-table": _cmd_multiplicity_table,
-    "packet-check": lambda args: emit_report(run_suite(_config(args), "packets"), args.fmt),
+    "packet-check": lambda args: _suite(args, "packets"),
     "orbit": _cmd_orbit,
     "selftest-all": _cmd_selftest_all,
 }
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return _DISPATCH[args.command](args)
-    except KubotaMetaError as e:
+        ok, doc, rows, text = _DISPATCH[args.command](args)
+    except (KubotaMetaError, ValueError) as e:
         sys.stderr.write(f"error: {e}\n")
         return 2
-    except ValueError as e:
-        sys.stderr.write(f"error: {e}\n")
-        return 2
+    _render(args.fmt, doc, rows, text)
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":  # pragma: no cover

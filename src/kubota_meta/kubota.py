@@ -125,11 +125,14 @@ def _over_det(f: LocalField, q: tuple, pairs) -> tuple:
     """(n, [X, Y, ...]) with (A + B sqrt(d)) / D / det = D dd (X + Y sqrt(d)) / n
     for each (A, B) in ``pairs``; n != 0 because d is not a square."""
     P, Q = _det_ints(f, q)
+    # divide out g = gcd(P, Q), so that on a base field the norm is just dd
+    g = gcd(P, Q)
+    P, Q = P // g, Q // g
     n = _mul(f, P, Q, P, -Q)[0]
     out = []
     for A, B in pairs:
         out += _mul(f, A, B, P, -Q)
-    return n, out
+    return n * g, out
 
 
 _new_matrix = object.__new__

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import gcd, isqrt, lcm
+from math import gcd, lcm
 
 from .errors import (
     BaseFieldHasNoProperNorm,
@@ -38,13 +38,33 @@ from .errors import (
 # rational helpers
 
 
+# Miller-Rabin with the primes up to 41 as bases decides primality exactly
+# below PRIME_BOUND (Sorenson and Webster, 2015); make_field refuses larger p
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_BOUND = 3_317_044_064_679_887_385_961_981
+
+
 def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin; past PRIME_BOUND a True is unproven."""
     if n < 2:
         return False
-    if n % 2 == 0:
-        return n == 2
-    for q in range(3, isqrt(n) + 1, 2):
+    for q in _MR_BASES:
         if n % q == 0:
+            return n == q
+    if n < 41 * 41:  # no prime factor up to 41
+        return True
+    t, s = n - 1, 0
+    while t % 2 == 0:
+        t, s = t // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, t, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
     return True
 
@@ -224,9 +244,12 @@ def make_field(p: int, ext_spec="base") -> LocalField:
     ``("unram", d)`` / ``("ram", d)`` with d an integer, Fraction, or
     string rational.  d is normalized: even powers of p are stripped, so a
     ramified d ends up with v_p(d) = 1 and an unramified d becomes a unit.
+    p must be an odd prime below PRIME_BOUND.
     """
     if not isinstance(p, int) or not _is_prime(p):
         raise NotPrime(f"{p!r} is not a prime")
+    if p >= PRIME_BOUND:
+        raise ValueError(f"p = {p} is not below {PRIME_BOUND}, where primality is proven")
     if p == 2:
         raise EvenResidueCharUnsupported("p = 2 is not supported")
 

@@ -5,8 +5,9 @@ Grammar, shared by the CLI and config surfaces:
 * field spec: ``Qp(p)``, ``Qp(p)[unram:d]``, ``Qp(p)[ram:d]`` with d a
   rational like ``2`` or ``-1/3``.
 * element: sum of terms; a term is a rational, ``sqrt``, or
-  ``<rational>*sqrt`` (``sqrt`` denotes the adjoined root of the field's
-  d).  Examples: ``5``, ``-2/3``, ``sqrt``, ``3-1/2*sqrt``.
+  ``<rational>*sqrt`` with exactly one ``*`` (``sqrt`` denotes the
+  adjoined root of the field's d).  Examples: ``5``, ``-2/3``, ``sqrt``,
+  ``3-1/2*sqrt``.
 * matrix: ``[[a,b],[c,d]]`` with element entries and no nested brackets.
 """
 
@@ -67,13 +68,13 @@ def parse_element(field: LocalField, s: str) -> FieldElement:
         term = m.group()
         try:
             if term.endswith("sqrt"):
-                coef = term[:-4].rstrip("*")
-                if coef in ("", "+"):
-                    b += 1
-                elif coef == "-":
-                    b -= 1
-                else:
-                    b += _rational(coef)
+                # [+-]sqrt, or <rational>*sqrt with exactly one *
+                coef = term[:-4]
+                if coef in ("", "+", "-"):
+                    coef += "1*"
+                if not coef.endswith("*"):
+                    raise ValueError(term)
+                b += _rational(coef[:-1])
             else:
                 a += _rational(term)
         except (ValueError, ZeroDivisionError):

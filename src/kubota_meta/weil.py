@@ -26,7 +26,9 @@ gamma(a, psi_s) = (a, s) gamma(a, psi0), and the product relation
     gamma(a) gamma(b) = (a, b) gamma(ab)
 
 holds on the nose.  No float enters the index: :func:`gauss_sum` computes
-S(c) numerically (with numpy) only to cross-check the table in the tests.
+S(c) numerically (with numpy) only to cross-check the table in the tests,
+which also check the factor (a, pi) against the classical index summed
+term by term over pi^-1 O / pi O.
 """
 
 from __future__ import annotations

@@ -113,3 +113,11 @@ def gauss_sum_brute(psi, a, k: int) -> complex:
     for y in integral_points(psi.field, k):
         total += psi_eval(psi, a * y * y).complex_value
     return total
+
+
+def weil_index_classical(psi, a, n: int) -> complex:
+    """The classical Weil index of x -> psi(a x^2) for integral a: the sum
+    over x in pi^-n O / pi^n O, normalized to modulus one.  With
+    x = y / pi^n, y runs over O mod pi^(2n)."""
+    total = gauss_sum_brute(psi, a * psi.field.uniformizer ** (-2 * n), 2 * n)
+    return total / abs(total)

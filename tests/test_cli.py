@@ -1,13 +1,18 @@
 """Spec parsing, report plumbing, and the command line surface."""
 
+import contextlib
+import hashlib
+import io
 import json
 import subprocess
 import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from kubota_meta.cli import emit_report, main
+from kubota_meta import suites
+from kubota_meta.cli import main
 from kubota_meta.errors import (
     BaseFieldInput,
     DIsSquare,
@@ -22,7 +27,7 @@ from kubota_meta.parsing import (
     parse_matrix,
     parse_matrix_entries,
 )
-from kubota_meta.suites import CheckResult, Report, RunConfig, run_suite
+from kubota_meta.suites import Check, RunConfig, run_suite
 
 Q5 = make_field(5)
 E5U = make_field(5, ("unram", 2))
@@ -85,6 +90,11 @@ def test_parse_element_forms():
         (Q5, "1e3"),
         (Q5, "1e1000000000"),  # Fraction would expand the exponent
         (E5U, "1.5*sqrt"),
+        (E5U, "2sqrt"),        # a coefficient needs its *
+        (E5U, "2**sqrt"),
+        (E5U, "1/2sqrt"),
+        (E5U, "*sqrt"),
+        (E5U, "3-*sqrt"),
     ],
 )
 def test_parse_element_bad(field, text):
@@ -203,19 +213,6 @@ def test_check_registry_shape(spec, total):
                        if name.startswith(suite + "_")}, suite
 
 
-def test_emit_report_exit_codes(capsys):
-    cfg = RunConfig("Qp(5)", trials=1)
-    good = Report("demo", cfg, [CheckResult("ok", 5, 0, [], 0.0)])
-    bad = Report("demo", cfg, [CheckResult("broken", 5, 2, ["w1", "w2"], 0.0)])
-    assert emit_report(good, "text") == 0
-    assert "PASS" in capsys.readouterr().out
-    assert emit_report(bad, "text") == 1
-    out = capsys.readouterr().out
-    assert "FAIL" in out and "witness: w1" in out
-    assert emit_report(bad, "csv") == 1
-    assert "broken,5,2,w1 | w2" in capsys.readouterr().out
-
-
 # ---------------------------------------------------------------------------
 # command line, value mode
 
@@ -287,6 +284,25 @@ def test_cli_runs_without_numpy():
     assert proc.returncode == 0, proc.stderr.decode()[-500:]
 
 
+P61 = 2**61 - 1
+
+
+def test_cli_field_primes_up_to_the_proven_bound(capsys):
+    rc, out, _ = run_cli(capsys, "hilbert", "--field", f"Qp({P61})",
+                         "--format", "text", "2", "3")
+    assert (rc, out) == (0, "+1\n")
+    # 2^89 - 1 is prime, but past the bound where Miller-Rabin is exact
+    rc, _, err = run_cli(capsys, "hilbert", "--field", f"Qp({2**89 - 1})", "2", "3")
+    assert rc == 2 and err.startswith("error:") and "proven" in err
+
+
+@pytest.mark.parametrize("spec", [f"Qp({P61})", f"Qp({P61})[ram:{P61}]", f"Qp({P61})[unram:3]"])
+def test_suites_pass_at_a_61_bit_prime(spec):
+    cfg = RunConfig(spec, trials=3)
+    for suite in ("hilbert", "cocycle", "weil", "packets"):
+        assert run_suite(cfg, suite).passed, suite
+
+
 def test_cli_orbit(capsys):
     rc, out, _ = run_cli(capsys, "orbit", "--field", "Qp(5)",
                          "--format", "text", "[[0,0],[10,0]]")
@@ -351,6 +367,96 @@ def test_cli_multiplicity_table_json(capsys):
     assert len(d["rows"]) == 10
     for row in d["rows"]:
         assert row["product"] == (8 if row["discrete"] else 4)
+
+
+# ---------------------------------------------------------------------------
+# command line, exit codes and output stability
+
+
+def test_emit_report_exit_codes(capsys, monkeypatch):
+    broken = Check("hilbert_broken", lambda run, rng: "w1")
+    monkeypatch.setattr(suites, "CHECKS", [broken])
+    argv = ("hilbert", "--field", "Qp(5)", "--trials", "2")
+    rc, out, _ = run_cli(capsys, *argv, "--format", "text")
+    assert rc == 1
+    assert "FAIL" in out and "witness: w1" in out
+    rc, out, _ = run_cli(capsys, *argv, "--format", "csv")
+    assert rc == 1 and "hilbert_broken,2,2,w1 | w1" in out
+    rc, out, _ = run_cli(capsys, "selftest-all", "--trials", "1", "--format", "csv")
+    assert rc == 1 and "Qp(3),hilbert_broken,1,1\n" in out
+    monkeypatch.setattr(suites, "CHECKS", [Check("hilbert_ok", lambda run, rng: None)])
+    rc, out, _ = run_cli(capsys, *argv, "--format", "text")
+    assert rc == 0
+    assert "PASS" in out and "FAIL" not in out
+
+
+# sha256 of stdout (its first 16 hex digits) in json, csv and text format;
+# every one of these runs exits 0 and writes nothing to stderr
+CLI_OUTPUT = {
+    "hilbert --field Qp(5) 2 5": (
+        "83d16265cde411af", "d25349fbdc87e4fb", "ee3aa64bb94a5084"),
+    "hilbert --field Qp(5)[unram:2] sqrt 5/3": (
+        "43445cca29d2dd01", "c8f4d9be60019c54", "ee3aa64bb94a5084"),
+    "hilbert --field Qp(5) --trials 3": (
+        "1e6f112c14e119ca", "f33d641d9cefb7d9", "8dff6fbc4e661b66"),
+    "cocycle --field Qp(5) [[2,0],[0,1]] [[1,0],[0,5]]": (
+        "be0c2288fc4215f1", "04d2ed38cab5d33e", "ee3aa64bb94a5084"),
+    "cocycle --field Qp(5)[unram:2] --trials 3 --seed 4": (
+        "e972d000a9669fd8", "eb721ec412a3bf4f", "da47794261462e08"),
+    "split-check --field Qp(5)[ram:5] --trials 3": (
+        "64c8efb78d390111", "81ead03e1028930c", "17dcf64b08164f2c"),
+    "omega --field Qp(3)[unram:2] --trials 3": (
+        "97a7960ff815a3f1", "23d448227c5eaa2c", "788fc3ee89982150"),
+    "indices --field Qp(7)[ram:7]": (
+        "e2c0b16f4c53ab03", "e83693bacd7ea0fc", "c3296226ae0f3675"),
+    "weil --field Qp(5)[unram:2] 1+sqrt --psi-scale 5": (
+        "09d239494607ce45", "5652dd8381d40930", "569da672de91826b"),
+    "weil --field Qp(7) --trials 3 --height 5": (
+        "5de082fbdb1ae14c", "12d7f9e40d5fc1ee", "e2eaf511bbf190a8"),
+    "multiplicity-table --field Qp(3)": (
+        "00d48c1e85602e50", "da26ce08ee7e9f63", "4c432f73aae4c361"),
+    "multiplicity-table --field Qp(5)[ram:5]": (
+        "a2d801ff84bedbd8", "b436b5ef15d69a69", "6795cd6340085058"),
+    "packet-check --field Qp(5)[ram:5] --trials 3": (
+        "432f06eff0c12a55", "ea639aa452ebfa45", "1727ca58611b6504"),
+    "orbit --field Qp(5) [[0,0],[10,0]]": (
+        "e29232592365f084", "5268ff9063b2e8f5", "917df3320d778ddb"),
+    "selftest-all --trials 2 --seed 3": (
+        "899efc2343fbadca", "8ee41638cb4e328f", "5a3206b9274ff543"),
+}
+# each of these exits 2 in every format, writes nothing to stdout and
+# this one line to stderr
+CLI_ERRORS = {
+    "hilbert --field Qp(5) 2":
+        "error: hilbert needs both x and y, or neither\n",
+    "hilbert --field Qp(2) --trials 2":
+        "error: in field spec 'Qp(2)': p = 2 is not supported\n",
+    "cocycle --field Qp(5) [[1,2],[2,4]] [[1,0],[0,1]]":
+        "error: matrix '[[1,2],[2,4]]' is singular\n",
+    "weil --field Qp(5) --psi-scale 5":
+        "error: --psi-scale only applies to a single evaluation\n",
+    "orbit --field Qp(5) [[1,0],[0,1]]":
+        "error: trace must vanish\n",
+    "indices --field Qp(5)":
+        "error: image computation needs a quadratic extension\n",
+    "omega --field Qp(5) --trials 0":
+        "error: trials must be at least 1\n",
+}
+
+
+def test_cli_output_is_unchanged(capsys, monkeypatch):
+    monkeypatch.delenv("KUBOTA_META_SEED", raising=False)
+    want, got = {}, {}
+    for argv, digests in CLI_OUTPUT.items():
+        for fmt, digest in zip(("json", "csv", "text"), digests):
+            want[argv, fmt] = (0, digest, "")
+    for argv, err in CLI_ERRORS.items():
+        for fmt in ("json", "csv", "text"):
+            want[argv, fmt] = (2, hashlib.sha256(b"").hexdigest()[:16], err)
+    for argv, fmt in want:
+        rc, out, err = run_cli(capsys, *argv.split(), "--format", fmt)
+        got[argv, fmt] = (rc, hashlib.sha256(out.encode()).hexdigest()[:16], err)
+    assert got == want
 
 
 # ---------------------------------------------------------------------------
@@ -420,3 +526,59 @@ def test_cli_timings_flag_adds_elapsed(capsys):
                          "--timings")
     assert rc == 0
     assert all("elapsed_ms" in c for c in json.loads(out)["checks"])
+
+
+# ---------------------------------------------------------------------------
+# command line, fuzzed argv
+
+# positional arguments each subcommand takes when it evaluates one value
+FUZZ_ARITY = {"hilbert": 2, "cocycle": 2, "split-check": 0, "omega": 0, "indices": 0,
+              "weil": 1, "multiplicity-table": 0, "packet-check": 0, "orbit": 1,
+              "selftest-all": 0}
+GOOD_SPECS = ["Qp(3)", "Qp(5)[unram:2]", "Qp(5)[ram:5]", "Qp(7)[ram:-7]"]
+BAD_SPECS = ["Qp(2)", "Qp(9)", "Qp(5)[unram:4]", "Qp(3)[ram:0]", "Qp(5)[ram:2]",
+             "nope", "", f"Qp({2**89 - 1})"]
+LITERALS = ["2", "-3/5", "0", "sqrt", "1+2*sqrt", "2sqrt", "1/0", "abc", "1e3", "",
+            "[[1,2],[3,4]]", "[[0,1],[0,0]]", "[[1,2],[2,4]]", "[[0,0],[0,0]]",
+            "[[1,2]]", "[[sqrt,0],[0,1]]", "[[0,5],[0,0]]"]
+SMALL = ["-1", "0", "1", "2"]
+
+
+def _mostly(good: list, bad: list):
+    """Draw from ``good`` three times as often as from ``bad``."""
+    return st.sampled_from(good * 3 * max(1, len(bad)) + bad * len(good))
+
+
+@st.composite
+def fuzzed_argv(draw):
+    command = draw(st.sampled_from(sorted(FUZZ_ARITY)))
+    arity = FUZZ_ARITY[command]
+    argv = [command]
+    argv += draw(st.lists(st.sampled_from(LITERALS), min_size=arity, max_size=arity)
+                 | st.lists(st.sampled_from(LITERALS), max_size=3))
+    # every subcommand but selftest-all needs --field; now and then flip that
+    if (command != "selftest-all") != draw(_mostly([False], [True])):
+        argv += ["--field", draw(_mostly(GOOD_SPECS, BAD_SPECS))]
+    argv += ["--trials", draw(_mostly(["1", "2"], ["-1", "0"]))]
+    height = draw(_mostly([None, "1", "2"], ["-1", "0"]))
+    if height is not None:
+        argv += ["--height", height]
+    argv += ["--format", draw(_mostly(["json", "csv", "text"], ["xml"]))]
+    argv += draw(_mostly([[], ["--timings"], ["--seed", "-3"]],
+                         [["--psi-scale", "5"], ["--psi-scale", "0"], ["--trials"]]))
+    return argv
+
+
+@settings(max_examples=200)
+@given(fuzzed_argv())
+def test_cli_exit_codes_under_fuzzed_argv(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            rc = main(argv)
+        except SystemExit as e:       # argparse rejects the argv
+            rc = e.code
+    assert rc in (0, 1, 2), argv
+    assert "Traceback" not in err.getvalue(), argv
+    if rc == 2 and not err.getvalue().startswith("usage:"):
+        assert err.getvalue().startswith("error:") and err.getvalue().count("\n") == 1

@@ -5,6 +5,7 @@ enumeration oracles in oracles.py, not from the code under test.
 """
 
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 from hypothesis import given, strategies as st
@@ -18,9 +19,11 @@ from kubota_meta.errors import (
     ZeroElement,
 )
 from kubota_meta.local_field import (
+    PRIME_BOUND,
     FieldElement,
     ResidueElement,
     SquareClass,
+    _is_prime,
     class_key,
     embed_base,
     format_element,
@@ -75,11 +78,27 @@ RATIONAL_D_FIELDS = [
         (5, ("ram", 50), ValueError),
         (5, ("bogus", 2), ValueError),
         (5, 17, ValueError),
+        ((2**31 - 1) * (2**61 - 1), "base", NotPrime),
+        (2**89 - 1, "base", ValueError),   # prime, but past PRIME_BOUND
+        (PRIME_BOUND, "base", ValueError), # composite, passes every base
     ],
 )
 def test_make_field_rejects_bad_input(p, ext, exc):
     with pytest.raises(exc):
         make_field(p, ext)
+
+
+def test_is_prime_matches_trial_division():
+    def by_division(n):
+        return n > 1 and all(n % q for q in range(2, isqrt(n) + 1))
+    assert [n for n in range(10**5) if _is_prime(n)] == [
+        n for n in range(10**5) if by_division(n)]
+    for carmichael in (561, 41041, 825265):
+        assert not _is_prime(carmichael)
+    assert _is_prime(2**61 - 1)
+    # a strong pseudoprime to every base up to 37: base 41 exposes it
+    assert 318665857834031151167461 == 399165290221 * 798330580441
+    assert not _is_prime(318665857834031151167461)
 
 
 def test_make_field_normalizes_d():

@@ -40,6 +40,7 @@ from oracles import (
     integral_points,
     legendre_enum,
     residue_squares,
+    weil_index_classical,
 )
 
 Q3 = make_field(3)
@@ -248,6 +249,31 @@ def test_index_table_is_the_snapped_gauss_sum_quotient(field):
         num = gauss_sum(psi, c.rep * pi_inv, DEFAULT_LEVEL)
         q = (num / abs(num)) / (den / abs(den))
         assert weil_index(c.rep, psi).eighths == _snap(q), c.label
+
+
+@pytest.mark.parametrize("field", TABLE_SWEEP, ids=LocalField.spec_string)
+def test_index_is_the_pi_symbol_times_the_classical_index(field):
+    # the convention: gamma(a, psi0) = (a, pi) gamma_classical(a, psi0)
+    psi = standard_char(field)
+    pi = field.uniformizer
+    for c in square_class_reps(field):
+        sign = 4 if hilbert(c.rep, pi) == -1 else 0
+        want = (_snap(weil_index_classical(psi, c.rep, 1)) + sign) % 8
+        assert weil_index(c.rep, psi).eighths == want, c.label
+
+
+# level 2 sums over p^4 points per class on base and ramified fields and
+# p^8 on unramified ones, so unramified p = 7 is left out
+LEVEL_2_SWEEP = [f for f in TABLE_SWEEP
+                 if f.p <= 5 and f.kind != "unram" or f.p == 3 and f.kind == "unram"]
+
+
+@pytest.mark.parametrize("field", LEVEL_2_SWEEP, ids=LocalField.spec_string)
+def test_classical_index_is_already_stable_at_level_1(field):
+    psi = standard_char(field)
+    for c in square_class_reps(field):
+        level1 = weil_index_classical(psi, c.rep, 1)
+        assert abs(weil_index_classical(psi, c.rep, 2) - level1) < 1e-9, c.label
 
 
 # fields whose residue grids are too large for gauss_sum
