@@ -69,7 +69,6 @@ from .rng import SplitMix64, derive_seed
 from .suites import CheckResult, Report, RunConfig, run_suite, selftest_reports
 from .weil import (
     AdditiveChar,
-    EighthRoot,
     RootOfUnity,
     central_sign,
     chi_psi_eval,

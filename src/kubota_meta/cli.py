@@ -1,10 +1,11 @@
 """Command line front end.
 
-Every subcommand takes ``--field`` (except ``selftest-all``) and the shared
-``--trials/--seed/--height/--format/--timings`` flags.  Its handler returns
-``(ok, doc, rows, text)``: the JSON document, the CSV rows (header first)
-and the text lines of one report or value; `main` writes the one that
-``--format`` picks to stdout, and nothing else writes there.  Output is
+Every subcommand takes ``--format`` and, except ``selftest-all``, ``--field``.
+Those that can run a suite take ``--trials/--seed/--height/--timings``, which
+a single evaluation (``hilbert x y``, ``cocycle M1 M2``, ``weil a``) refuses.
+A handler returns ``(ok, doc, rows, text)``: the JSON document, the CSV rows
+(header first) and the text lines of one report or value; `main` writes the
+one that ``--format`` picks to stdout, and nothing else writes there.  Output is
 byte-identical across runs for a fixed seed unless ``--timings`` is
 passed.  Exit status: 0 when every check passes, 1 when a check fails, 2
 for usage or domain errors, with one ``error:`` line on stderr.
@@ -49,20 +50,22 @@ def _default_seed() -> int:
         raise KubotaMetaError(f"KUBOTA_META_SEED={raw!r} is not an integer") from None
 
 
-def _add_common(sp, with_field=True):
+def _add_common(sp, with_field=True, suite_flags=True):
     if with_field:
         sp.add_argument("--field", required=True, metavar="SPEC",
                         help="field spec: Qp(p), Qp(p)[unram:d], Qp(p)[ram:d]")
-    sp.add_argument("--trials", type=int, default=1000,
-                    help="randomized trials per check (default 1000)")
-    sp.add_argument("--seed", type=int, default=None,
-                    help="master seed (default 0, or KUBOTA_META_SEED)")
-    sp.add_argument("--height", type=int, default=50,
-                    help="numerator/denominator bound for random rationals")
+    if suite_flags:
+        # None marks a flag as not given; RunConfig holds the defaults
+        sp.add_argument("--trials", type=int, default=None,
+                        help="randomized trials per check (default 1000)")
+        sp.add_argument("--seed", type=int, default=None,
+                        help="master seed (default 0, or KUBOTA_META_SEED)")
+        sp.add_argument("--height", type=int, default=None,
+                        help="numerator/denominator bound for random rationals (default 50)")
+        sp.add_argument("--timings", action="store_true",
+                        help="include elapsed_ms in reports (breaks byte determinism)")
     sp.add_argument("--format", choices=("json", "csv", "text"), default="json",
                     dest="fmt", help="output format (default json)")
-    sp.add_argument("--timings", action="store_true",
-                    help="include elapsed_ms in reports (breaks byte determinism)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -90,7 +93,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(sp)
 
     sp = sub.add_parser("indices", help="square-class and norm-image index summary")
-    _add_common(sp)
+    _add_common(sp, suite_flags=False)
 
     sp = sub.add_parser("weil", help="Weil index of one element or the index-calculus suite")
     _add_common(sp)
@@ -99,13 +102,13 @@ def build_parser() -> argparse.ArgumentParser:
                     help="rescale the standard additive character by S")
 
     sp = sub.add_parser("multiplicity-table", help="restriction multiplicities over all twist models")
-    _add_common(sp)
+    _add_common(sp, suite_flags=False)
 
     sp = sub.add_parser("packet-check", help="packet-size identities, pass/fail")
     _add_common(sp)
 
     sp = sub.add_parser("orbit", help="nilpotent orbit class of a matrix")
-    _add_common(sp)
+    _add_common(sp, suite_flags=False)
     sp.add_argument("matrix", metavar="M", help="nilpotent matrix [[a,b],[c,d]]")
 
     sp = sub.add_parser("selftest-all", help="full battery over the standard field list")
@@ -171,7 +174,16 @@ def _report_text(report: Report) -> list:
 
 def _config(args, field_spec=None) -> RunConfig:
     seed = args.seed if args.seed is not None else _default_seed()
-    return RunConfig(field_spec or args.field, args.trials, seed, args.height, args.timings)
+    given = {k: getattr(args, k) for k in ("trials", "height") if getattr(args, k) is not None}
+    return RunConfig(field_spec or args.field, seed=seed, timings=args.timings, **given)
+
+
+def _refuse_suite_flags(args) -> None:
+    """A single evaluation runs no suite: a suite flag is a usage error."""
+    given = [k for k in ("trials", "seed", "height") if getattr(args, k) is not None]
+    given += ["timings"] * args.timings
+    if given:
+        raise KubotaMetaError(f"--{given[0]} only applies to a suite run")
 
 
 def _suite(args, suite: str) -> tuple:
@@ -185,6 +197,7 @@ def _cmd_hilbert(args) -> tuple:
         raise KubotaMetaError("hilbert needs both x and y, or neither")
     if args.x is None:
         return _suite(args, "hilbert")
+    _refuse_suite_flags(args)
     field = parse_field_spec(args.field)
     x = parse_element(field, args.x)
     y = parse_element(field, args.y)
@@ -198,6 +211,7 @@ def _cmd_cocycle(args) -> tuple:
         raise KubotaMetaError("cocycle needs both matrices, or neither")
     if args.g1 is None:
         return _suite(args, "cocycle")
+    _refuse_suite_flags(args)
     field = parse_field_spec(args.field)
     g1 = parse_matrix(field, args.g1)
     g2 = parse_matrix(field, args.g2)
@@ -223,6 +237,7 @@ def _cmd_weil(args) -> tuple:
         if args.psi_scale is not None:
             raise KubotaMetaError("--psi-scale only applies to a single evaluation")
         return _suite(args, "weil")
+    _refuse_suite_flags(args)
     field = parse_field_spec(args.field)
     psi = standard_char(field)
     if args.psi_scale is not None:

@@ -23,7 +23,6 @@ from __future__ import annotations
 import time
 from collections.abc import Callable
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from itertools import combinations, product, repeat
 
 from .branching import (
@@ -77,7 +76,7 @@ from .local_field import (
 from .parsing import parse_field_spec
 from .rng import SplitMix64, derive_seed
 from .weil import (
-    EighthRoot,
+    MINUS_ONE_ROOT,
     central_sign,
     chi_psi_eval,
     psi_eval,
@@ -203,8 +202,8 @@ class _Run:
         self.omega = omega_of(field)
         self.psi = standard_char(field)
         self.ident = MetaElement(Mat2.identity(field), 1)
-        # chi_psi(-1, +1) as a complex number: the central-sign reference
-        self.chi_minus_one = chi_psi_eval(self.minus_one, 1, self.psi).complex_value
+        # chi_psi(-1, +1): the central-sign reference
+        self.chi_minus_one = chi_psi_eval(self.minus_one, 1, self.psi)
 
 
 def _rng(field: LocalField, config: RunConfig, check_name: str) -> SplitMix64:
@@ -518,7 +517,7 @@ def _weil_product_relation(run, pair):
     lhs = weil_index(a.rep, run.psi) * weil_index(b.rep, run.psi)
     rhs = weil_index(a.rep * b.rep, run.psi)
     if hilbert(a.rep, b.rep) == -1:
-        rhs = rhs * EighthRoot(Fraction(1, 2))
+        rhs = rhs * MINUS_ONE_ROOT
     return None if lhs == rhs else f"a={a!r} b={b!r} lhs={lhs!r} rhs={rhs!r}"
 
 
@@ -526,7 +525,7 @@ def _weil_product_relation(run, pair):
 def _weil_chi_genuine(run, _):
     plus = chi_psi_eval(run.field.one(), 1, run.psi)
     minus = chi_psi_eval(run.field.one(), -1, run.psi)
-    if minus != plus * EighthRoot(Fraction(1, 2)):
+    if minus != plus * MINUS_ONE_ROOT:
         return f"chi_psi not genuine: chi(1,+1)={plus!r} chi(1,-1)={minus!r}"
     return None
 
@@ -549,7 +548,8 @@ def _weil_central_sign_twist(run, rng):
     s = rand_sign(rng)
     x = rand_element(rng, run.field, run.height, nonzero=True)
     twist = hilbert(x, run.minus_one)
-    got = central_sign(s * twist * run.chi_minus_one, run.psi)
+    omega = run.chi_minus_one * MINUS_ONE_ROOT if s * twist == -1 else run.chi_minus_one
+    got = central_sign(omega, run.psi)
     return None if got == s * twist else f"s={s} x={x!r} got={got}"
 
 

@@ -25,10 +25,12 @@ gamma(a, psi_s) = (a, s) gamma(a, psi0), and the product relation
 
     gamma(a) gamma(b) = (a, b) gamma(ab)
 
-holds on the nose.  No float enters the index: :func:`gauss_sum` computes
-S(c) numerically (with numpy) only to cross-check the table in the tests,
-which also check the factor (a, pi) against the classical index summed
-term by term over pi^-1 O / pi O.
+holds on the nose.  Values of psi, gamma and chi_psi are all one exact
+type, :class:`RootOfUnity`, and :func:`central_sign` divides two of them
+exactly.  Complex numbers appear only in ``RootOfUnity.complex_value``, for
+display, and in :func:`gauss_sum`, which computes S(c) numerically (with
+numpy) to cross-check the table in the tests; these also check the factor
+(a, pi) against the classical index summed term by term over pi^-1 O / pi O.
 """
 
 from __future__ import annotations
@@ -47,6 +49,7 @@ from .hilbert import Sign, pair_class_keys
 from .local_field import (
     FieldElement,
     LocalField,
+    _strip,
     class_key,
     rational_mod,
     vp_fraction,
@@ -76,28 +79,12 @@ class RootOfUnity:
         return self.exponent == 0
 
     @property
-    def complex_value(self) -> complex:
-        return cmath.exp(2j * cmath.pi * float(self.exponent))
-
-
-@dataclass(frozen=True)
-class EighthRoot:
-    """A root of unity whose eighth power is 1; exponent in (1/8)Z mod 1."""
-
-    exponent: Fraction
-
-    def __post_init__(self):
-        e = self.exponent % 1
-        if 8 % e.denominator:
-            raise ValueError(f"{e} is not a multiple of 1/8")
-        object.__setattr__(self, "exponent", e)
-
-    def __mul__(self, other: "EighthRoot") -> "EighthRoot":
-        return EighthRoot(self.exponent + other.exponent)
-
-    @property
     def eighths(self) -> int:
-        return int(self.exponent * 8)
+        """k with self = exp(2 pi i k / 8); ValueError unless self^8 = 1."""
+        e = self.exponent * 8
+        if e.denominator != 1:
+            raise ValueError(f"{self.exponent} is not a multiple of 1/8")
+        return e.numerator
 
     @property
     def label(self) -> str:
@@ -105,6 +92,7 @@ class EighthRoot:
 
     @property
     def complex_value(self) -> complex:
+        """The value as a complex number, for display only."""
         return cmath.exp(2j * cmath.pi * float(self.exponent))
 
     def as_sign(self) -> Sign:
@@ -113,6 +101,10 @@ class EighthRoot:
         if self.exponent == Fraction(1, 2):
             return -1
         raise NotASign(f"exp(2 pi i {self.exponent}) is not +-1")
+
+
+# exp(pi i) = -1
+MINUS_ONE_ROOT = RootOfUnity(Fraction(1, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -142,28 +134,26 @@ def standard_char(field: LocalField) -> AdditiveChar:
     return AdditiveChar(field, field.one())
 
 
-def _pfrac(x: Fraction, p: int) -> Fraction:
-    """p-power fractional part: the unique p-power-denominator rational in
-    [0, 1) congruent to x modulo p-integral rationals."""
-    if x == 0 or vp_fraction(x, p) >= 0:
-        return Fraction(0)
-    m = -vp_fraction(x, p)
-    M = p ** m
-    return Fraction(rational_mod(x * M, M), M)
-
-
 def psi_eval(psi: AdditiveChar, x: FieldElement) -> RootOfUnity:
-    """Evaluate the character exactly; x = 0 is allowed and gives 1."""
+    """Evaluate the character exactly; x = 0 is allowed and gives 1.
+
+    psi0(c) = exp(2 pi i n / D) for c = (A + B sqrt(d)) / D and n = A, 2A
+    (the trace) or 2B (ramified: Tr(c / sqrt(d))); with D = p^m u, u prime
+    to p, the p-power fractional part of n / D is (n / u mod p^m) / p^m.
+    """
     if x.field != psi.field:
         raise FieldMismatch("argument lies in a different field")
     c = psi.scale * x
     f = psi.field
     if f.kind == "base":
-        return RootOfUnity(_pfrac(c.a, f.p))
-    if f.kind == "unram":
-        return RootOfUnity(_pfrac(2 * c.a, f.p))
-    # ramified: Tr(c / sqrt(d)) = 2 * (sqrt(d)-coordinate of c)
-    return RootOfUnity(_pfrac(2 * c.b, f.p))
+        n = c._A
+    elif f.kind == "unram":
+        n = 2 * c._A
+    else:
+        n = 2 * c._B
+    m, unit = _strip(c._D, f.p)
+    M = f.p ** m
+    return RootOfUnity(Fraction(n * pow(unit, -1, M) % M, M))
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +254,7 @@ def _class_eighths(field: LocalField) -> tuple:
     return (0, 4, g, g)
 
 
-def weil_index(a: FieldElement, psi: AdditiveChar) -> EighthRoot:
+def weil_index(a: FieldElement, psi: AdditiveChar) -> RootOfUnity:
     """gamma(a, psi): an eighth root of unity, constant on square classes.
 
     gamma(1, psi) = 1; for a unit u and the reference character, gamma is
@@ -279,31 +269,24 @@ def weil_index(a: FieldElement, psi: AdditiveChar) -> EighthRoot:
     eighths = _class_eighths(psi.field)[key]
     if pair_class_keys(psi.field, key, class_key(psi.scale)) == -1:
         eighths += 4
-    return EighthRoot(Fraction(eighths, 8))
+    return RootOfUnity(Fraction(eighths, 8))
 
 
-def chi_psi_eval(z: FieldElement, eps: Sign, psi: AdditiveChar) -> EighthRoot:
+def chi_psi_eval(z: FieldElement, eps: Sign, psi: AdditiveChar) -> RootOfUnity:
     """The genuine central character: chi_psi(z, eps) = eps * gamma(z, psi)."""
     if eps not in (1, -1):
         raise NotASign("eps must be +1 or -1")
     root = weil_index(z, psi)
-    if eps == -1:
-        root = root * EighthRoot(Fraction(1, 2))
-    return root
+    return root if eps == 1 else root * MINUS_ONE_ROOT
 
 
-def central_sign(omega_at_minus_one: complex, psi: AdditiveChar) -> Sign:
-    """Compare a central character against chi_psi at -1; lands in {+1, -1}.
+def central_sign(omega: RootOfUnity, psi: AdditiveChar) -> Sign:
+    """The sign omega / chi_psi(-1, +1) of a central character value omega
+    at -1; NotASign unless omega is an exact root within a sign of it.
 
     Twisting the representation by x multiplies the result by (x, -1).
     """
-    w = complex(omega_at_minus_one)
-    if abs(abs(w) - 1.0) > SNAP_TOLERANCE:
-        raise NotASign("central character value must have modulus 1")
-    ref = chi_psi_eval(psi.field.elt(-1), 1, psi).complex_value
-    q = w / ref
-    if abs(q - 1) < SNAP_TOLERANCE:
-        return 1
-    if abs(q + 1) < SNAP_TOLERANCE:
-        return -1
-    raise NotASign(f"quotient {q!r} is not a sign")
+    if not isinstance(omega, RootOfUnity):
+        raise NotASign(f"central character value {omega!r} is not an exact root of unity")
+    ref = chi_psi_eval(psi.field.elt(-1), 1, psi)
+    return RootOfUnity(omega.exponent - ref.exponent).as_sign()

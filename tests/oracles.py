@@ -91,6 +91,22 @@ def beta_literal(g1: Mat2, g2: Mat2) -> int:
     return beta_sl2(left, p_part(g2)) * v_factor(det2, p_part(g1))
 
 
+def psi_exponent(field, c: tuple) -> Fraction:
+    """The exponent of psi0(c) in [0, 1), c given as a Fraction pair (a, b):
+    the p-power fractional part of a (base), 2a (unramified: the trace) or
+    2b (ramified: the trace of c / sqrt(d))."""
+    a, b = c
+    x = {"base": a, "unram": 2 * a, "ram": 2 * b}[field.kind]
+    p = field.p
+    if x == 0 or vp(x, p) >= 0:
+        return Fraction(0)
+    M = p ** -vp(x, p)
+    # x M has a denominator prime to p, and x - r / M is p-integral for the
+    # residue r of x M mod M
+    y = x * M
+    return Fraction(y.numerator * pow(y.denominator, -1, M) % M, M)
+
+
 def integral_points(field, k: int):
     """Representatives of the integers modulo the k-th uniformizer power."""
     p = field.p

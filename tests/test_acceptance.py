@@ -11,7 +11,6 @@ import os
 import subprocess
 import sys
 import time
-from fractions import Fraction
 from itertools import combinations
 
 import pytest
@@ -54,7 +53,7 @@ from kubota_meta.suites import (
 )
 from kubota_meta.weil import (
     DEFAULT_LEVEL,
-    EighthRoot,
+    MINUS_ONE_ROOT,
     chi_psi_eval,
     gauss_sum,
     standard_char,
@@ -164,7 +163,7 @@ def test_a06_weil_relation_16_pairs_snapped_with_1e9_residual():
                 lhs = weil_index(a, psi) * weil_index(b, psi)
                 rhs = weil_index(a * b, psi)
                 if hilbert(a, b) == -1:
-                    rhs = rhs * EighthRoot(Fraction(1, 2))
+                    rhs = rhs * MINUS_ONE_ROOT
                 assert lhs == rhs, (field.spec_string(), a, b)
         # snapping residual against the raw normalized Gauss-sum quotient
         pi_inv = field.uniformizer.inverse()
@@ -198,7 +197,7 @@ def test_a07_chi_psi_genuine_and_multiplicative_1000_central_pairs():
                 chi_psi_eval(z1, e1, psi) * chi_psi_eval(z2, e2, psi), \
                 (field.spec_string(), z1, z2, e1, e2)
             assert chi_psi_eval(z1, -e1, psi) == \
-                chi_psi_eval(z1, e1, psi) * EighthRoot(Fraction(1, 2))
+                chi_psi_eval(z1, e1, psi) * MINUS_ONE_ROOT
 
 
 def test_a08_packet_identities_exhaustive_under_1s():

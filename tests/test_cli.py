@@ -277,9 +277,11 @@ def test_cli_weil_value_past_the_grid_limit(capsys):
 
 
 def test_cli_runs_without_numpy():
+    # numpy serves gauss_sum only, and no check of the whole battery reaches it
     code = ("import sys; from kubota_meta.cli import main; "
-            "rc = main(['weil', '--field', 'Qp(5)', '--trials', '20']); "
-            "assert 'numpy' not in sys.modules; sys.exit(rc)")
+            "rc = [main(['weil', '--field', 'Qp(5)', '--trials', '20']), "
+            "main(['selftest-all', '--trials', '1'])]; "
+            "assert 'numpy' not in sys.modules; sys.exit(max(rc))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True)
     assert proc.returncode == 0, proc.stderr.decode()[-500:]
 
@@ -441,6 +443,14 @@ CLI_ERRORS = {
         "error: image computation needs a quadratic extension\n",
     "omega --field Qp(5) --trials 0":
         "error: trials must be at least 1\n",
+    "hilbert --field Qp(5) 2 5 --trials -1 --height 0 --timings":
+        "error: --trials only applies to a suite run\n",
+    "hilbert --field Qp(5) 2 5 --timings":
+        "error: --timings only applies to a suite run\n",
+    "cocycle --field Qp(5) [[2,0],[0,1]] [[1,0],[0,5]] --seed 0":
+        "error: --seed only applies to a suite run\n",
+    "weil --field Qp(5) 2 --height 50":
+        "error: --height only applies to a suite run\n",
 }
 
 
@@ -457,6 +467,20 @@ def test_cli_output_is_unchanged(capsys, monkeypatch):
         rc, out, err = run_cli(capsys, *argv.split(), "--format", fmt)
         got[argv, fmt] = (rc, hashlib.sha256(out.encode()).hexdigest()[:16], err)
     assert got == want
+
+
+@pytest.mark.parametrize("argv", [
+    "indices --field Qp(7)[ram:7] --trials 3",
+    "multiplicity-table --field Qp(3) --seed 1",
+    "orbit --field Qp(5) [[0,0],[10,0]] --height 5",
+    "orbit --field Qp(5) [[0,0],[10,0]] --timings",
+])
+def test_cli_suite_flags_are_not_options_where_no_suite_runs(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv.split())
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert "unrecognized arguments: --" in captured.err
 
 
 # ---------------------------------------------------------------------------
@@ -535,6 +559,8 @@ def test_cli_timings_flag_adds_elapsed(capsys):
 FUZZ_ARITY = {"hilbert": 2, "cocycle": 2, "split-check": 0, "omega": 0, "indices": 0,
               "weil": 1, "multiplicity-table": 0, "packet-check": 0, "orbit": 1,
               "selftest-all": 0}
+# subcommands that never run a suite and take no suite flags
+NO_SUITE = {"indices", "multiplicity-table", "orbit"}
 GOOD_SPECS = ["Qp(3)", "Qp(5)[unram:2]", "Qp(5)[ram:5]", "Qp(7)[ram:-7]"]
 BAD_SPECS = ["Qp(2)", "Qp(9)", "Qp(5)[unram:4]", "Qp(3)[ram:0]", "Qp(5)[ram:2]",
              "nope", "", f"Qp({2**89 - 1})"]
@@ -554,18 +580,22 @@ def fuzzed_argv(draw):
     command = draw(st.sampled_from(sorted(FUZZ_ARITY)))
     arity = FUZZ_ARITY[command]
     argv = [command]
-    argv += draw(st.lists(st.sampled_from(LITERALS), min_size=arity, max_size=arity)
-                 | st.lists(st.sampled_from(LITERALS), max_size=3))
+    positional = draw(st.lists(st.sampled_from(LITERALS), min_size=arity, max_size=arity)
+                      | st.lists(st.sampled_from(LITERALS), max_size=3))
+    argv += positional
     # every subcommand but selftest-all needs --field; now and then flip that
     if (command != "selftest-all") != draw(_mostly([False], [True])):
         argv += ["--field", draw(_mostly(GOOD_SPECS, BAD_SPECS))]
-    argv += ["--trials", draw(_mostly(["1", "2"], ["-1", "0"]))]
-    height = draw(_mostly([None, "1", "2"], ["-1", "0"]))
-    if height is not None:
-        argv += ["--height", height]
+    # the suite flags belong to a suite run; now and then flip that
+    suite_run = command not in NO_SUITE and not (arity and positional)
+    if suite_run != draw(_mostly([False], [True])):
+        argv += ["--trials", draw(_mostly(["1", "2"], ["-1", "0"]))]
+        height = draw(_mostly([None, "1", "2"], ["-1", "0"]))
+        if height is not None:
+            argv += ["--height", height]
+        argv += draw(_mostly([[], ["--timings"], ["--seed", "-3"]], [["--trials"]]))
     argv += ["--format", draw(_mostly(["json", "csv", "text"], ["xml"]))]
-    argv += draw(_mostly([[], ["--timings"], ["--seed", "-3"]],
-                         [["--psi-scale", "5"], ["--psi-scale", "0"], ["--trials"]]))
+    argv += draw(_mostly([[]], [["--psi-scale", "5"], ["--psi-scale", "0"]]))
     return argv
 
 

@@ -8,6 +8,7 @@ import cmath
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from kubota_meta.errors import (
     FieldMismatch,
@@ -23,10 +24,11 @@ from kubota_meta.local_field import (
     square_class_reps,
     unit_part,
 )
+from kubota_meta.parsing import parse_field_spec
 from kubota_meta.weil import (
     DEFAULT_LEVEL,
     AdditiveChar,
-    EighthRoot,
+    MINUS_ONE_ROOT,
     RootOfUnity,
     central_sign,
     chi_psi_eval,
@@ -36,9 +38,11 @@ from kubota_meta.weil import (
     weil_index,
 )
 from oracles import (
+    coord_mul,
     gauss_sum_brute,
     integral_points,
     legendre_enum,
+    psi_exponent,
     residue_squares,
     weil_index_classical,
 )
@@ -66,17 +70,21 @@ def test_root_of_unity_arithmetic():
 
 
 def test_eighth_root_arithmetic():
-    i = EighthRoot(Fraction(1, 4))
+    i = RootOfUnity(Fraction(1, 4))
     assert i.eighths == 2
     assert i.label == "2/8"
     assert (i * i).label == "4/8"
     assert (i * i).as_sign() == -1
-    assert EighthRoot(Fraction(0)).as_sign() == 1
+    assert i * i == MINUS_ONE_ROOT
+    assert RootOfUnity(Fraction(0)).as_sign() == 1
+    assert RootOfUnity(Fraction(-9, 8)).label == "7/8"
     assert abs(i.complex_value - 1j) < 1e-12
     with pytest.raises(NotASign):
         i.as_sign()
     with pytest.raises(ValueError):
-        EighthRoot(Fraction(1, 3))
+        RootOfUnity(Fraction(1, 3)).eighths
+    with pytest.raises(NotASign):
+        RootOfUnity(Fraction(1, 3)).as_sign()
 
 
 # ---------------------------------------------------------------------------
@@ -120,6 +128,37 @@ def test_psi_frozen_value():
     assert psi_eval(psi, Q5.elt(Fraction(1, 5))) == RootOfUnity(Fraction(1, 5))
     assert psi_eval(psi.scaled(Q5.elt(2)), Q5.elt(Fraction(1, 5))) == \
         RootOfUnity(Fraction(2, 5))
+
+
+# psi_eval reads the stored ints; the oracle works on Fraction coordinates.
+# Fields with a d that has a denominator, ramified d with a unit cofactor,
+# and a 61-bit prime.
+PSI_FIELDS = [parse_field_spec(spec) for spec in (
+    "Qp(5)", "Qp(5)[unram:2]", "Qp(5)[unram:1/2]", "Qp(7)[ram:7]", "Qp(7)[ram:7/3]",
+    f"Qp({2**61 - 1})")]
+
+
+@st.composite
+def scale_and_argument(draw):
+    """A field, a nonzero scale s and an argument x, both as Fraction pairs;
+    the p-power in a coordinate runs from p^-4 to p^3."""
+    field = draw(st.sampled_from(PSI_FIELDS))
+    rational = st.builds(lambda n, m, k: Fraction(n, m) * Fraction(field.p) ** k,
+                         st.integers(-10**6, 10**6), st.integers(1, 10**6),
+                         st.integers(-4, 3))
+    zero = st.just(Fraction(0))
+    pair = st.tuples(rational, rational if field.is_extension else zero)
+    return field, draw(pair.filter(any)), draw(pair)
+
+
+@example((PSI_FIELDS[2], (Fraction(3), Fraction(1)), (Fraction(1, 125), Fraction(2, 375))))
+@example((PSI_FIELDS[4], (Fraction(1), Fraction(1, 7)), (Fraction(4, 343), Fraction(5, 7))))
+@given(scale_and_argument())
+def test_psi_eval_matches_the_fraction_oracle(case):
+    field, s, x = case
+    psi = standard_char(field).scaled(field.elt(*s))
+    want = psi_exponent(field, coord_mul(s, x, field.d))
+    assert psi_eval(psi, field.elt(*x)).exponent == want
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +242,7 @@ def test_product_relation_all_sixteen_pairs(field):
             lhs = weil_index(a, psi) * weil_index(b, psi)
             rhs = weil_index(a * b, psi)
             if hilbert(a, b) == -1:
-                rhs = rhs * EighthRoot(Fraction(1, 2))
+                rhs = rhs * MINUS_ONE_ROOT
             assert lhs == rhs
 
 
@@ -299,7 +338,7 @@ def test_index_past_the_grid_limit(field):
         for b in reps:
             rhs = weil_index(a * b, psi)
             if hilbert(a, b) == -1:
-                rhs = rhs * EighthRoot(Fraction(1, 2))
+                rhs = rhs * MINUS_ONE_ROOT
             assert weil_index(a, psi) * weil_index(b, psi) == rhs
     if field.kind == "base":
         assert field.p % 4 == 3
@@ -315,7 +354,7 @@ def test_character_scaling_twists_by_a_symbol():
             for a in [c.rep for c in square_class_reps(field)]:
                 expected = weil_index(a, psi)
                 if hilbert(a, s) == -1:
-                    expected = expected * EighthRoot(Fraction(1, 2))
+                    expected = expected * MINUS_ONE_ROOT
                 assert weil_index(a, psi_s) == expected
 
 
@@ -328,7 +367,7 @@ def test_chi_psi_is_genuine():
     for z in (Q3.elt(2), Q3.elt(3), Q3.elt(-1)):
         plus = chi_psi_eval(z, 1, psi)
         minus = chi_psi_eval(z, -1, psi)
-        assert minus == plus * EighthRoot(Fraction(1, 2))
+        assert minus == plus * MINUS_ONE_ROOT
     with pytest.raises(NotASign):
         chi_psi_eval(Q3.elt(2), 0, psi)
 
@@ -351,20 +390,22 @@ def test_chi_psi_multiplicative_for_the_cover_law(field):
 
 def test_central_sign_comparison():
     psi = standard_char(Q3)
-    ref = chi_psi_eval(Q3.elt(-1), 1, psi).complex_value
+    ref = chi_psi_eval(Q3.elt(-1), 1, psi)
     assert central_sign(ref, psi) == 1
-    assert central_sign(-ref, psi) == -1
+    assert central_sign(ref * MINUS_ONE_ROOT, psi) == -1
+    for inexact in (0.5, ref.complex_value, -ref.complex_value):
+        with pytest.raises(NotASign):
+            central_sign(inexact, psi)   # only an exact root compares
     with pytest.raises(NotASign):
-        central_sign(0.5, psi)           # not modulus one
-    with pytest.raises(NotASign):
-        central_sign(ref * 1j, psi)      # off by a quarter turn
+        central_sign(ref * RootOfUnity(Fraction(1, 4)), psi)  # off by a quarter turn
 
 
 def test_central_sign_twist_law():
     # twisting by x multiplies the sign by (x, -1)
     for field in (Q3, Q5, E5R):
         psi = standard_char(field)
-        ref = chi_psi_eval(field.elt(-1), 1, psi).complex_value
+        ref = chi_psi_eval(field.elt(-1), 1, psi)
         for c in square_class_reps(field):
             tw = hilbert(c.rep, field.elt(-1))
-            assert central_sign(ref * tw, psi) == tw
+            omega = ref if tw == 1 else ref * MINUS_ONE_ROOT
+            assert central_sign(omega, psi) == tw
