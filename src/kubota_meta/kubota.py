@@ -20,9 +20,13 @@ Implementation note: a Mat2 is nine ints (A_a, B_a, ..., A_d, B_d, D),
 entry x being (A_x + B_x*sqrt(d)) / D over one denominator D > 0.  A
 product, inverse or displayed map is integer arithmetic on these ints
 followed by one gcd over all nine, which leaves the nine coprime; that
-form is canonical, so equality and hashing compare the tuple.  The
-entries ``.a`` ... ``.d`` and ``.det`` are read back as reduced
-FieldElements only at the API boundary.
+form is canonical, so equality and hashing compare the tuple.  Once a
+factor's denominator passes SEED_GATE, a product's gcd starts from
+``_content_bound`` of the factor with the smaller denominator, a small
+multiple of the content: each big int then costs one division by that
+seed in place of a big-by-big gcd, and the gcd is the same.  The entries
+``.a`` ... ``.d`` and ``.det`` are read back as reduced FieldElements
+only at the API boundary.
 
 Square-class keys come from the ints as stored: the key of c is the key
 of the triple (A_c, B_c, D), which does not change if the three are
@@ -138,11 +142,13 @@ def _over_det(f: LocalField, q: tuple, pairs) -> tuple:
 _new_matrix = object.__new__
 
 
-def _mat2(f: LocalField, q: tuple, kdet) -> "Mat2":
+def _mat2(f: LocalField, q: tuple, kdet, seed: int = 0) -> "Mat2":
     """The matrix of nine ints q (q[8] > 0) reduced by their content, with
     det key ``kdet`` (None: computed when asked).  The one constructor of
-    products, inverses and displayed maps; it skips the singular check."""
-    g = gcd(*q)
+    products, inverses and displayed maps; it skips the singular check.
+    ``seed`` is 0 (none) or a multiple of the content, which leaves the
+    gcd as it is and makes it cheap when small."""
+    g = gcd(seed, *q) if seed else gcd(*q)
     if g != 1:
         q = tuple([n // g for n in q])
     m = _new_matrix(Mat2)
@@ -150,7 +156,33 @@ def _mat2(f: LocalField, q: tuple, kdet) -> "Mat2":
     m._q = q
     m._kdet = kdet
     m._kx = None
+    m._bound = None
     return m
+
+
+# a product seeds its content gcd only once a factor's denominator is wider
+# than a machine word; below that the plain gcd is cheap already
+SEED_GATE = 1 << 64
+
+
+def _content_bound(g: "Mat2") -> int:
+    """dd |n| D, a multiple of the content of the product of g with any
+    matrix on either side, where n = dd P^2 - dn Q^2 for (P, Q) =
+    _det_ints(g), memoized on g.
+
+    For h @ g with h = X / E: the product's numerators are dd X Y, with
+    Y the numerators of g.  Multiplying on the right by adj(Y), then by the
+    conjugate of dd det Y, turns them into dd n X, each step an integer
+    combination of the previous ints, so the content of h @ g divides
+    dd n X and the denominator dd E D.  Since X and E are coprime, it
+    divides dd n D.  g @ h is the mirror image.
+    """
+    if g._bound is None:
+        f = g.field
+        P, Q = _det_ints(f, g._q)
+        dd = f._d_den
+        g._bound = dd * abs(dd * P * P - f._d_num * Q * Q) * g._q[8]
+    return g._bound
 
 
 class Mat2:
@@ -163,7 +195,7 @@ class Mat2:
     instance; cocycle evaluation reads only those.
     """
 
-    __slots__ = ("field", "_q", "_kdet", "_kx")
+    __slots__ = ("field", "_q", "_kdet", "_kx", "_bound")
 
     def __init__(self, field: LocalField, a, b, c, d):
         for entry in (a, b, c, d):
@@ -176,6 +208,7 @@ class Mat2:
             raise ValueError("matrix is singular")
         self._kdet = None
         self._kx = None
+        self._bound = None
 
     @classmethod
     def identity(cls, field: LocalField) -> "Mat2":
@@ -198,9 +231,13 @@ class Mat2:
         f = self.field
         if other.field is not f and other.field != f:
             raise FieldMismatch("matrix product across different fields")
+        x, y = self._q, other._q
+        D, E = x[8], y[8]
+        # the factor with the smaller denominator gives the smaller seed
+        seed = 0 if D < SEED_GATE and E < SEED_GATE else _content_bound(
+            self if D <= E else other)
         # det key of a product is free once the factors are keyed
-        return _mat2(f, _product(f, self._q, other._q),
-                     self.det_key() ^ other.det_key())
+        return _mat2(f, _product(f, x, y), self.det_key() ^ other.det_key(), seed)
 
     def inverse(self) -> "Mat2":
         """The adjugate divided by the determinant."""
@@ -308,16 +345,20 @@ def beta_sl2(g1: Mat2, g2: Mat2) -> Sign:
     return hilbert(x1, x2) * hilbert(-(x2 / x1), x12)
 
 
-def beta(g1: Mat2, g2: Mat2, product: Mat2 = None) -> Sign:
-    """The GL2 cocycle.  ``product`` may pass in a precomputed g1 @ g2.
+def beta(g1: Mat2, g2: Mat2) -> Sign:
+    """The GL2 cocycle.
 
     Restricted to SL2 this equals beta_sl2; on pairs of upper-triangular
     matrices it collapses to the symbol (a1, d2) of the diagonal entries.
     """
     if g1.field != g2.field:
         raise FieldMismatch("cocycle arguments must share a field")
+    return _beta(g1, g2, g1 @ g2)
+
+
+def _beta(g1: Mat2, g2: Mat2, h: Mat2) -> Sign:
+    """beta(g1, g2) given h = g1 @ g2, for callers that hold the product."""
     field = g1.field
-    h = product if product is not None else g1 @ g2
     kd1 = g1.det_key()
     kd2 = g2.det_key()
     kd12 = kd1 ^ kd2
@@ -364,7 +405,7 @@ class MetaElement:
 
 def meta_mul(m1: MetaElement, m2: MetaElement) -> MetaElement:
     product = m1.g @ m2.g
-    return MetaElement(product, m1.eps * m2.eps * beta(m1.g, m2.g, product=product))
+    return MetaElement(product, m1.eps * m2.eps * _beta(m1.g, m2.g, product))
 
 
 def meta_inv(m: MetaElement) -> MetaElement:
@@ -377,8 +418,8 @@ def check_cocycle(g1: Mat2, g2: Mat2, g3: Mat2) -> bool:
     h12 = g1 @ g2
     h23 = g2 @ g3
     h123 = h12 @ g3
-    lhs = beta(g1, g2, product=h12) * beta(h12, g3, product=h123)
-    rhs = beta(g1, h23, product=h123) * beta(g2, g3, product=h23)
+    lhs = _beta(g1, g2, h12) * _beta(h12, g3, h123)
+    rhs = _beta(g1, h23, h123) * _beta(g2, g3, h23)
     return lhs == rhs
 
 

@@ -73,23 +73,37 @@ def vp_int(n: int, p: int) -> int:
     """p-adic valuation of a nonzero integer."""
     if n == 0:
         raise ZeroElement("valuation of 0 is undefined")
-    return _strip(n, p)[0]
+    return _strip(n, p, *_digit_power(p))[0]
 
 
-def _strip(n: int, p: int) -> tuple:
-    """(v_p(n), n / p^v_p(n)) for a nonzero integer n."""
-    v = 0
-    while n % p == 0:
-        # divide by p, p^2, p^4, ... while they divide, then start over:
-        # O(log(v)^2) big-int divisions where one p at a time costs v
-        q, k = p, 1
-        while True:
-            m, r = divmod(n, q)
-            if r:
-                break
-            n, v = m, v + k
-            q, k = q * q, 2 * k
-    return v, n
+# CPython stores ints in 30-bit digits; a divisor below 2^30 is one digit,
+# and n % P, n // P by it are single passes over n with no big temporaries
+_DIGIT = 1 << 30
+
+
+def _digit_power(p: int) -> tuple:
+    """(P, K) with P = p^K the largest power of p below 2^30 (P = p past it)."""
+    P, K = p, 1
+    while P * p < _DIGIT:
+        P, K = P * p, K + 1
+    return P, K
+
+
+def _strip(n: int, p: int, P: int, K: int) -> tuple:
+    """(v_p(n), (n / p^v_p(n)) mod p) for a nonzero integer n, with
+    (P, K) = _digit_power(p); the unit itself is never built."""
+    v, r = 0, n % P
+    # take out whole chunks P = p^K while r = n mod P is 0; after that
+    # k = v_p(n) - v < K, and r / p^k = n / p^(v+k) mod p^(K-k) with
+    # K - k >= 1, so the rest is read off the small r
+    while not r:
+        n //= P
+        v += K
+        r = n % P
+    while r % p == 0:
+        r //= p
+        v += 1
+    return v, r % p
 
 
 def vp_fraction(x: Fraction, p: int) -> int:
@@ -155,6 +169,11 @@ class LocalField:
     @cached_property
     def _d_den(self) -> int:
         return self.d.denominator
+
+    @cached_property
+    def _digit(self) -> tuple:
+        """:func:`_digit_power` of p, the chunk valuations strip by."""
+        return _digit_power(self.p)
 
     @cached_property
     def _d_unit(self) -> int:
@@ -570,16 +589,25 @@ def _valuation_and_residue(f: LocalField, A: int, B: int, D: int) -> tuple:
     if not (A or B):
         raise ZeroElement("valuation of 0 is undefined")
     p = f.p
-    vD, Du = _strip(D, p)
-    if f.kind == "ram":
+    ram = f.kind == "ram"
+    Du = D % p
+    if Du and (A % p or B % p and not ram):
+        # the common unit, nothing to strip: v = 0 and the residue is x mod p
+        inv = pow(Du, -1, p)
+        return 0, A * inv % p, 0 if ram else B * inv % p
+    P, K = f._digit
+    vD = 0
+    if not Du:
+        vD, Du = _strip(D, p, P, K)
+    if ram:
         # v(A + B*sqrt(d)) = min(2 v_p(A), 2 v_p(B) + 1); the two candidates
         # have opposite parity so the min is never a tie.  With d = p*u,
         # dividing by sqrt(d)^v leaves the sqrt(d) coordinate in the maximal
         # ideal, so the residue is carried by one coordinate over D * u^k.
         if A:
-            vA, Au = _strip(A, p)
+            vA, Au = _strip(A, p, P, K)
         if B:
-            vB, Bu = _strip(B, p)
+            vB, Bu = _strip(B, p, P, K)
         if A and (not B or vA <= vB):
             k = vA - vD
             v, unit = 2 * k, Au
@@ -587,12 +615,18 @@ def _valuation_and_residue(f: LocalField, A: int, B: int, D: int) -> tuple:
             k = vB - vD
             v, unit = 2 * k + 1, Bu
         return v, unit * pow(Du * pow(f._d_unit, k, p), -1, p) % p, 0
-    # base and unramified: pi = p divides both coordinates equally
+    # base and unramified: pi = p divides both coordinates equally; strip
+    # chunks of P from both, then read the rest off the residues mod P as
+    # in _strip
     m = 0
-    while A % p == 0 and B % p == 0:
-        A //= p
-        B //= p
-        m += 1
+    if not (A % p or B % p):
+        a, b = A % P, B % P
+        while not (a or b):
+            A, B = A // P, B // P
+            m, a, b = m + K, A % P, B % P
+        while a % p == 0 and b % p == 0:
+            a, b, m = a // p, b // p, m + 1
+        A, B = a, b
     inv = pow(Du, -1, p)
     return m - vD, A * inv % p, B * inv % p
 

@@ -151,9 +151,9 @@ def psi_eval(psi: AdditiveChar, x: FieldElement) -> RootOfUnity:
         n = 2 * c._A
     else:
         n = 2 * c._B
-    m, unit = _strip(c._D, f.p)
+    m = _strip(c._D, f.p, *f._digit)[0]
     M = f.p ** m
-    return RootOfUnity(Fraction(n * pow(unit, -1, M) % M, M))
+    return RootOfUnity(Fraction(n * pow(c._D // M, -1, M) % M, M))
 
 
 # ---------------------------------------------------------------------------

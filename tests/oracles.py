@@ -7,6 +7,7 @@ code under test.
 """
 
 from fractions import Fraction
+from math import gcd
 
 from kubota_meta.kubota import Mat2, beta_sl2, conj_by_det, p_part, v_factor
 from kubota_meta.weil import psi_eval
@@ -81,6 +82,12 @@ def mat_mul(x: tuple, y: tuple, d: Fraction) -> tuple:
         (p0, p1), (q0, q1) = (coord_mul(x[2 * i + k], y[2 * k + j], d) for k in (0, 1))
         return (p0 + q0, p1 + q1)
     return (entry(0, 0), entry(0, 1), entry(1, 0), entry(1, 1))
+
+
+def content_reduced(q: tuple) -> tuple:
+    """The ints q divided by their plain gcd, with no seed."""
+    g = gcd(*q)
+    return tuple(n // g for n in q)
 
 
 def beta_literal(g1: Mat2, g2: Mat2) -> int:

@@ -7,6 +7,7 @@ check_cocycle is cross-checked against the naive four-symbol evaluation.
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,6 +21,7 @@ from kubota_meta.errors import (
 )
 from kubota_meta.hilbert import hilbert
 from kubota_meta.kubota import (
+    SEED_GATE,
     Mat2,
     MetaElement,
     beta,
@@ -33,12 +35,14 @@ from kubota_meta.kubota import (
     p_part,
     v_factor,
     x_of,
+    _content_bound,
+    _product,
 )
 from kubota_meta.local_field import class_key, make_field
 from kubota_meta.parsing import parse_field_spec
 from kubota_meta.rng import SplitMix64
 from kubota_meta.suites import rand_mat2
-from oracles import beta_literal, coord_mul, mat_mul
+from oracles import beta_literal, content_reduced, coord_mul, mat_mul
 
 Q3 = make_field(3)
 Q5 = make_field(5)
@@ -386,3 +390,41 @@ def test_long_fold_matches_oracle_product_and_literal_sign(field, seed):
         ref = mat_mul(ref, coords(g), field.d)
     assert coords(prod.g) == ref
     assert prod.eps == sign
+
+
+# ---------------------------------------------------------------------------
+# the seeded content gcd of a product
+
+
+@given(field_mats(2))
+def test_content_bound_is_a_multiple_of_the_product_content(fm):
+    field, (g, h) = fm
+    for x, y in ((g, h), (h, g), (g, g.inverse())):
+        q = _product(field, x._q, y._q)
+        content = gcd(*q)
+        assert _content_bound(x) % content == 0
+        assert _content_bound(y) % content == 0
+
+
+def fold(field, seed: int, length: int) -> Mat2:
+    rng = SplitMix64(seed)
+    m = rand_mat2(rng, field, 50)
+    for _ in range(length - 1):
+        m = m @ rand_mat2(rng, field, 50)
+    return m
+
+
+@pytest.mark.parametrize("field", ORACLE_FIELDS, ids=lambda f: f.spec_string())
+def test_seeded_product_gcd_matches_the_plain_reduction(field):
+    small = [fold(field, seed, 1) for seed in (1, 2)]
+    big = [fold(field, seed, 64) for seed in (3, 4)]
+    # the big factors cross the gate, so their products take the seed
+    assert all(m._q[8] < SEED_GATE for m in small)
+    assert all(m._q[8] >= SEED_GATE for m in big)
+    for x, y in ((small[0], small[1]), (big[0], small[0]),
+                 (small[1], big[1]), (big[0], big[1])):
+        q = _product(field, x._q, y._q)
+        assert (x @ y)._q == content_reduced(q)
+        content = gcd(*q)
+        assert _content_bound(x) % content == 0
+        assert _content_bound(y) % content == 0

@@ -4,6 +4,7 @@ Expected values for the square-criterion tests come from the residue
 enumeration oracles in oracles.py, not from the code under test.
 """
 
+import random
 from fractions import Fraction
 from math import isqrt
 
@@ -35,8 +36,11 @@ from kubota_meta.local_field import (
     trace,
     unit_part,
     valuation,
+    vp_int,
 )
-from oracles import legendre_enum, residue_squares, unit_residue, vp
+from kubota_meta.weil import psi_eval, standard_char
+from oracles import legendre_enum, psi_exponent, residue_squares, unit_residue, vp
+from oracles import vp_int as oracle_vp_int
 
 Q3 = make_field(3)
 Q5 = make_field(5)
@@ -264,29 +268,91 @@ def test_arithmetic_with_rational_d_matches_coordinate_formulas(field, a1, b1, a
     assert x ** -2 == (x * x).inverse()
 
 
-@pytest.mark.parametrize("field", RATIONAL_D_FIELDS, ids=lambda f: f.spec_string())
-@given(a=fractions_st, b=fractions_st, i=st.integers(-3, 3), j=st.integers(-3, 3))
-def test_square_class_data_with_rational_d_match_oracles(field, a, b, i, j):
+def _oracle_square_data(field, a: Fraction, b: Fraction) -> tuple:
+    """(valuation, residue pair, is a square) of a + b sqrt(d) from the
+    Fraction coordinates, by the oracles' valuations and residues."""
     p, d = field.p, field.d
-    a, b = a * Fraction(p) ** i, b * Fraction(p) ** j
-    x = field.elt(a, b)
-    if x.is_zero():
-        return
-    if field.kind == "unram":
+    if field.kind != "ram":
         v = min(vp(t, p) for t in (a, b) if t)
         res = (_residue(a / Fraction(p) ** v, p), _residue(b / Fraction(p) ** v, p))
-        square = res in residue_squares(p, unit_residue(d, p))
     else:
         # v(a + b sqrt d) = min(2 v(a), 2 v(b) + 1); divide by sqrt(d)^v
         v = min(2 * vp(t, p) + e for t, e in ((a, 0), (b, 1)) if t)
         res = (_residue((a if v % 2 == 0 else b) / d ** (v // 2), p), 0)
+    if p > 100:
+        # too many residues to list: Euler's criterion on the norm to F_p
+        n = res[0] ** 2 - unit_residue(d, p) * res[1] ** 2 if field.kind == "unram" else res[0]
+        square = pow(n, (p - 1) // 2, p) == 1
+    elif field.kind == "unram":
+        square = res in residue_squares(p, unit_residue(d, p))
+    else:
         square = res[0] in residue_squares(p)
+    return v, res, square
+
+
+@pytest.mark.parametrize("field", RATIONAL_D_FIELDS, ids=lambda f: f.spec_string())
+@given(a=fractions_st, b=fractions_st, i=st.integers(-3, 3), j=st.integers(-3, 3))
+def test_square_class_data_with_rational_d_match_oracles(field, a, b, i, j):
+    p = field.p
+    a, b = a * Fraction(p) ** i, b * Fraction(p) ** j
+    x = field.elt(a, b)
+    if x.is_zero():
+        return
+    v, res, square = _oracle_square_data(field, a, b)
     assert valuation(x) == v
     r = unit_part(x)
     assert (r.r0, r.r1) == res
     assert class_key(x) == 2 * (v % 2) + (0 if square else 1)
     y = field.elt(b, a) if a else field.uniformizer
     assert class_key(x * y) == class_key(x) ^ class_key(y)
+
+
+# a prime past 2^30: its powers never fit one 30-bit CPython digit
+M61 = 2**61 - 1
+DEEP_FIELDS = [Q3, Q5, E5U, E5R, E3R, *RATIONAL_D_FIELDS[::2],
+               make_field(M61), make_field(M61, ("unram", -1)), make_field(M61, ("ram", M61))]
+
+
+def deep_exponents(p: int) -> list:
+    """K - 1, K, K + 1, 2K + 3 and 300, for K the largest exponent with
+    p^K below 2^30 (1 when p itself is not)."""
+    K = 1
+    while p ** (K + 1) < 2**30:
+        K += 1
+    return sorted({K - 1, K, K + 1, 2 * K + 3, 300})
+
+
+@pytest.mark.parametrize("field", DEEP_FIELDS, ids=lambda f: f.spec_string())
+def test_deep_valuations_match_oracles(field):
+    p = field.p
+    rng = random.Random(p)
+
+    def unit() -> Fraction:
+        # a multi-digit rational prime to p
+        u, w = (rng.randrange(1, 2**90) for _ in range(2))
+        return Fraction(u + (u % p == 0), w + (w % p == 0))
+
+    psi = standard_char(field)
+    for e in deep_exponents(p):
+        for s in (e, -e):
+            # the sqrt(d) coordinate absent, or one p-power below, at or above a
+            offsets = (None, -1, 0, 1) if field.is_extension else (None,)
+            for a_zero in (False, True):
+                for j in offsets:
+                    if a_zero and j is None:
+                        continue
+                    a = 0 if a_zero else Fraction(p) ** s * unit()
+                    b = 0 if j is None else Fraction(p) ** (s + j) * unit()
+                    x = field.elt(a, b)
+                    v, res, square = _oracle_square_data(field, Fraction(a), Fraction(b))
+                    assert valuation(x) == v
+                    r = unit_part(x)
+                    assert (r.r0, r.r1) == res
+                    assert class_key(x) == 2 * (v % 2) + (0 if square else 1)
+                    for n in (x._A, x._B, x._D):
+                        if n:
+                            assert vp_int(n, p) == oracle_vp_int(n, p)
+                    assert psi_eval(psi, x).exponent == psi_exponent(field, (a, b))
 
 
 def test_int_and_fraction_coercion():
