@@ -176,6 +176,10 @@ def _content_bound(g: "Mat2") -> int:
     combination of the previous ints, so the content of h @ g divides
     dd n X and the denominator dd E D.  Since X and E are coprime, it
     divides dd n D.  g @ h is the mirror image.
+
+    The memo pays when one small factor seeds many products, as when the
+    same words are folded again or a matrix is raised to a power; a factor
+    used once pays one slot for it.
     """
     if g._bound is None:
         f = g.field

@@ -615,20 +615,19 @@ def _valuation_and_residue(f: LocalField, A: int, B: int, D: int) -> tuple:
             k = vB - vD
             v, unit = 2 * k + 1, Bu
         return v, unit * pow(Du * pow(f._d_unit, k, p), -1, p) % p, 0
-    # base and unramified: pi = p divides both coordinates equally; strip
-    # chunks of P from both, then read the rest off the residues mod P as
-    # in _strip
-    m = 0
-    if not (A % p or B % p):
-        a, b = A % P, B % P
-        while not (a or b):
-            A, B = A // P, B // P
-            m, a, b = m + K, A % P, B % P
-        while a % p == 0 and b % p == 0:
-            a, b, m = a // p, b // p, m + 1
-        A, B = a, b
+    # base and unramified: pi = p, so v = min(v_p(A), v_p(B)) - v_p(D), and
+    # a coordinate of higher valuation has residue 0
+    m, a, b = None, 0, 0
+    if A:
+        m, a = _strip(A, p, P, K)
+    if B:
+        vB, b = _strip(B, p, P, K)
+        if m is None or vB < m:
+            m, a = vB, 0
+        elif vB > m:
+            b = 0
     inv = pow(Du, -1, p)
-    return m - vD, A * inv % p, B * inv % p
+    return m - vD, a * inv % p, b * inv % p
 
 
 def valuation(x: FieldElement) -> int:
