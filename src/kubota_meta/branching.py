@@ -24,7 +24,7 @@ from .errors import (
     ZeroMatrix,
 )
 from .hilbert import Sign, pair_class_keys
-from .kubota import Mat2, _mul2
+from .kubota import Mat2, _common, _elements, _product
 from .local_field import (
     FieldElement,
     LocalField,
@@ -210,8 +210,10 @@ class NilpotentSl2:
         return (self.e11, self.e12, self.e21, -self.e11)
 
     def conjugate_by(self, g: Mat2) -> "NilpotentSl2":
-        r = _mul2(_mul2(g.entries(), self.entries()), g.inverse().entries())
-        return NilpotentSl2.from_entries(self.field, *r)
+        """g Y g^-1, as products of nine-int matrices."""
+        f = self.field
+        q = _product(f, _product(f, g._q, _common(self.entries())), g.inverse()._q)
+        return NilpotentSl2.from_entries(f, *_elements(f, q))
 
     def __repr__(self) -> str:
         e = self.entries()
@@ -236,13 +238,10 @@ def whittaker_datum_eval(a: FieldElement, x: FieldElement,
                          psi: AdditiveChar) -> RootOfUnity:
     """Pair the orbit point Y_a against the unipotent log [[0,x],[0,0]].
 
-    The trace form gives tr(Y_a n_x) = a x, evaluated through the
+    Y_a n_x = [[0, 0], [a, 0]] [[0, x], [0, 0]] = [[0, 0], [0, a x]], so
+    the trace form gives tr(Y_a n_x) = a x, evaluated through the
     character; equals psi_a at x by construction.
     """
     if a.is_zero():
         raise ZeroElement("orbit parameter must be nonzero")
-    f = a.field
-    z = f.zero()
-    prod = _mul2((z, z, a, z), (z, x, z, z))
-    t = prod[0] + prod[3]
-    return psi_eval(psi, t)
+    return psi_eval(psi, a * x)

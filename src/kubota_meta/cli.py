@@ -251,7 +251,7 @@ def _cmd_weil(args) -> tuple:
 
 def _cmd_multiplicity_table(args) -> tuple:
     field = parse_field_spec(args.field)
-    classes, subgroups = class_subgroups(field)
+    subgroups = class_subgroups(field)
     header = ["S", "discrete", "m", "m1", "m2", "product"]
     table = []
     for S in subgroups:

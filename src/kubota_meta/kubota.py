@@ -20,7 +20,10 @@ Implementation note: a Mat2 is nine ints (A_a, B_a, ..., A_d, B_d, D),
 entry x being (A_x + B_x*sqrt(d)) / D over one denominator D > 0.  A
 product, inverse or displayed map is integer arithmetic on these ints
 followed by one gcd over all nine, which leaves the nine coprime; that
-form is canonical, so equality and hashing compare the tuple.  Once a
+form is canonical, so equality and hashing compare the tuple.  The pairs
+(A_x, B_x) are multiplied and divided by ``local_field._mul`` and
+``_divide``; only ``_product``, the inner loop of a long fold, writes its
+pair products out.  Once a
 factor's denominator passes SEED_GATE, a product's gcd starts from
 ``_content_bound`` of the factor with the smaller denominator, a small
 multiple of the content: each big int then costs one division by that
@@ -51,17 +54,11 @@ from .errors import (
 from math import gcd, lcm
 
 from .hilbert import Sign, hilbert, pair_class_keys
-from .local_field import FieldElement, LocalField, _class_key, _reduced
+from .local_field import FieldElement, LocalField, _class_key, _divide, _mul, _reduced
 
 
 # ---------------------------------------------------------------------------
 # 2x2 matrices as nine ints (A_a, B_a, A_b, B_b, A_c, B_c, A_d, B_d, D)
-
-
-def _mul(f: LocalField, A1: int, B1: int, A2: int, B2: int) -> tuple:
-    """dd * (A1 + B1 sqrt(d)) (A2 + B2 sqrt(d)) as an int pair, d = dn/dd."""
-    dd = f._d_den
-    return (dd * A1 * A2 + f._d_num * B1 * B2, dd * (A1 * B2 + B1 * A2))
 
 
 def _common(entries) -> tuple:
@@ -110,33 +107,12 @@ def _product(f: LocalField, x: tuple, y: tuple) -> tuple:
     )
 
 
-def _mul2(x: tuple, y: tuple) -> tuple:
-    """Product of 2x2 matrices given as FieldElement 4-tuples, singular
-    ones included."""
-    f = x[0].field
-    return _elements(f, _product(f, _common(x), _common(y)))
-
-
 def _det_ints(f: LocalField, q: tuple) -> tuple:
     """(P, Q) with det = (P + Q sqrt(d)) / (D^2 dd)."""
     a0, a1, b0, b1, c0, c1, d0, d1, _ = q
     P1, Q1 = _mul(f, a0, a1, d0, d1)
     P2, Q2 = _mul(f, b0, b1, c0, c1)
     return P1 - P2, Q1 - Q2
-
-
-def _over_det(f: LocalField, q: tuple, pairs) -> tuple:
-    """(n, [X, Y, ...]) with (A + B sqrt(d)) / D / det = D dd (X + Y sqrt(d)) / n
-    for each (A, B) in ``pairs``; n != 0 because d is not a square."""
-    P, Q = _det_ints(f, q)
-    # divide out g = gcd(P, Q), so that on a base field the norm is just dd
-    g = gcd(P, Q)
-    P, Q = P // g, Q // g
-    n = _mul(f, P, Q, P, -Q)[0]
-    out = []
-    for A, B in pairs:
-        out += _mul(f, A, B, P, -Q)
-    return n * g, out
 
 
 _new_matrix = object.__new__
@@ -166,16 +142,16 @@ SEED_GATE = 1 << 64
 
 
 def _content_bound(g: "Mat2") -> int:
-    """dd |n| D, a multiple of the content of the product of g with any
-    matrix on either side, where n = dd P^2 - dn Q^2 for (P, Q) =
-    _det_ints(g), memoized on g.
+    """dd n D, a multiple of the content of the product of g with any
+    matrix on either side, where n is the denominator ``_divide`` gives
+    for (P, Q) = _det_ints(g), memoized on g.
 
     For h @ g with h = X / E: the product's numerators are dd X Y, with
     Y the numerators of g.  Multiplying on the right by adj(Y), then by the
-    conjugate of dd det Y, turns them into dd n X, each step an integer
-    combination of the previous ints, so the content of h @ g divides
-    dd n X and the denominator dd E D.  Since X and E are coprime, it
-    divides dd n D.  g @ h is the mirror image.
+    conjugate of (P + Q sqrt(d)) / gcd(P, Q), turns them into dd n X up to
+    sign, each step an integer combination of the previous ints, so the
+    content of h @ g divides dd n X and the denominator dd E D.  Since X
+    and E are coprime, it divides dd n D.  g @ h is the mirror image.
 
     The memo pays when one small factor seeds many products, as when the
     same words are folded again or a matrix is raised to a power; a factor
@@ -183,9 +159,7 @@ def _content_bound(g: "Mat2") -> int:
     """
     if g._bound is None:
         f = g.field
-        P, Q = _det_ints(f, g._q)
-        dd = f._d_den
-        g._bound = dd * abs(dd * P * P - f._d_num * Q * Q) * g._q[8]
+        g._bound = f._d_den * _divide(f, *_det_ints(f, g._q), ())[0] * g._q[8]
     return g._bound
 
 
@@ -247,10 +221,12 @@ class Mat2:
         """The adjugate divided by the determinant."""
         f = self.field
         a0, a1, b0, b1, c0, c1, d0, d1, D = self._q
-        n, q = _over_det(f, self._q, ((d0, d1), (-b0, -b1), (-c0, -c1), (a0, a1)))
-        s = D * f._d_den if n > 0 else -D * f._d_den
+        # det = (P + Q sqrt(d)) / (D^2 dd): x / det = D dd X / n
+        n, q = _divide(f, *_det_ints(f, self._q),
+                       ((d0, d1), (-b0, -b1), (-c0, -c1), (a0, a1)))
+        s = D * f._d_den
         # class keys are 2-torsion, so det and 1/det share one
-        return _mat2(f, tuple(s * X for X in q) + (abs(n),), self._kdet)
+        return _mat2(f, tuple(s * X for X in q) + (n,), self._kdet)
 
     def det_key(self) -> int:
         if self._kdet is None:
@@ -300,13 +276,12 @@ def p_part(g: Mat2) -> Mat2:
     """The SL2 part: diag(1, det g)^(-1) g."""
     f = g.field
     a0, a1, b0, b1, c0, c1, d0, d1, D = g._q
-    n, bottom = _over_det(f, g._q, ((c0, c1), (d0, d1)))
-    # x / det = D dd X / n = D^2 dd X / (D n): over the denominator D |n|
-    # the top row is multiplied by |n|
-    m = abs(n)
-    s = D * D * f._d_den if n > 0 else -D * D * f._d_den
-    return _mat2(f, (a0 * m, a1 * m, b0 * m, b1 * m,
-                     *(s * X for X in bottom), D * m), 0)
+    n, bottom = _divide(f, *_det_ints(f, g._q), ((c0, c1), (d0, d1)))
+    # x / det = D dd X / n = D^2 dd X / (D n): over the denominator D n
+    # the top row is multiplied by n
+    s = D * D * f._d_den
+    return _mat2(f, (a0 * n, a1 * n, b0 * n, b1 * n,
+                     *(s * X for X in bottom), D * n), 0)
 
 
 def conj_by_det(g: Mat2, y: FieldElement) -> Mat2:
@@ -317,15 +292,13 @@ def conj_by_det(g: Mat2, y: FieldElement) -> Mat2:
     a0, a1, b0, b1, c0, c1, d0, d1, D = g._q
     yA, yB, yD = y._A, y._B, y._D
     dd = f._d_den
-    # b y = by / (D yD dd) and c / y = yD cy / (D m), m = dd N(yA + yB sqrt d)
+    # b y = by / (D yD dd) and c / y = yD cy / (D m)
     by = _mul(f, b0, b1, yA, yB)
-    cy = _mul(f, c0, c1, yA, -yB)
-    m = _mul(f, yA, yB, yA, -yB)[0]
-    # everything over the denominator D yD dd |m|
-    am = abs(m)
-    s = yD * dd * am
-    t = yD * yD * dd if m > 0 else -yD * yD * dd
-    return _mat2(f, (a0 * s, a1 * s, by[0] * am, by[1] * am, cy[0] * t, cy[1] * t,
+    m, cy = _divide(f, yA, yB, ((c0, c1),))
+    # everything over the denominator D yD dd m
+    s = yD * dd * m
+    t = yD * yD * dd
+    return _mat2(f, (a0 * s, a1 * s, by[0] * m, by[1] * m, cy[0] * t, cy[1] * t,
                      d0 * s, d1 * s, D * s), g._kdet)
 
 
@@ -414,7 +387,8 @@ def meta_mul(m1: MetaElement, m2: MetaElement) -> MetaElement:
 
 def meta_inv(m: MetaElement) -> MetaElement:
     ginv = m.g.inverse()
-    return MetaElement(ginv, m.eps * beta(m.g, ginv))
+    # g @ g^-1 is the identity: no product is formed to evaluate beta
+    return MetaElement(ginv, m.eps * _beta(m.g, ginv, Mat2.identity(m.g.field)))
 
 
 def check_cocycle(g1: Mat2, g2: Mat2, g3: Mat2) -> bool:

@@ -2,7 +2,11 @@
 
 An element a + b*sqrt(d) is stored as three Python ints (A, B, D) with
 a = A/D, b = B/D, D > 0 and gcd(A, B, D) = 1, so every arithmetic result
-costs integer products and one gcd.  The algebra is exact and float-free;
+costs integer products and one gcd.  The rules of these ints are written
+here for every module: ``_mul`` multiplies two pairs (A, B), scaled by the
+denominator of d, and ``_divide`` divides pairs by P + Q*sqrt(d) over a
+positive denominator (only ``kubota._product``, a hot loop, inlines
+``_mul``).  The algebra is exact and float-free;
 ``Fraction`` is the API boundary: constructors take rationals and the
 coordinates ``.a`` and ``.b`` read back as ``Fraction``.  The elements are
 dense in the completed field, so valuations, residue reduction, norms, and
@@ -106,6 +110,11 @@ def _strip(n: int, p: int, P: int, K: int) -> tuple:
     return v, r % p
 
 
+def _is_qr(n: int, p: int) -> bool:
+    """Euler's criterion: whether n is a nonzero square mod the odd prime p."""
+    return pow(n, (p - 1) // 2, p) == 1
+
+
 def vp_fraction(x: Fraction, p: int) -> int:
     """p-adic valuation of a nonzero rational."""
     if x == 0:
@@ -180,10 +189,13 @@ class LocalField:
         """Residue of d/p mod p (ramified fields only): d = p * unit."""
         return rational_mod(self.d / self.p, self.p)
 
+    @cached_property
+    def _base(self) -> "LocalField":
+        return self if self.kind == "base" else LocalField(self.p, "base", Fraction(0))
+
     def base(self) -> "LocalField":
-        if self.kind == "base":
-            return self
-        return LocalField(self.p, "base", Fraction(0))
+        """The base field Q_p, one descriptor per field."""
+        return self._base
 
     # -- element constructors ------------------------------------------------
 
@@ -222,11 +234,9 @@ class LocalField:
                     return cand
                 m += 1
         n = 2
-        e = (self.p - 1) // 2
-        while True:
-            if n % self.p != 0 and pow(n, e, self.p) == self.p - 1:
-                return self.elt(n)
+        while n % self.p == 0 or _is_qr(n, self.p):
             n += 1
+        return self.elt(n)
 
     @cached_property
     def _rep_elements(self) -> tuple:
@@ -291,14 +301,13 @@ def make_field(p: int, ext_spec="base") -> LocalField:
                 f"d = {d} has odd p-valuation and describes a ramified extension"
             )
         d = d * Fraction(p) ** (-v)
-        e = (p - 1) // 2
-        if pow(rational_mod(d, p), e, p) != p - 1:
+        if _is_qr(rational_mod(d, p), p):
             raise DIsSquare(f"d = {d} is a square in Q_{p}")
         return LocalField(p, "unram", d)
 
     if v % 2 == 0:
         unit = d * Fraction(p) ** (-v)
-        if pow(rational_mod(unit, p), (p - 1) // 2, p) == 1:
+        if _is_qr(rational_mod(unit, p), p):
             raise DIsSquare(f"d = {d} is a square in Q_{p}")
         raise ValueError(
             f"d = {d} has even p-valuation and describes an unramified extension"
@@ -436,26 +445,16 @@ class FieldElement:
         if o is None:
             return NotImplemented
         f = self.field
-        A1, B1, A2, B2 = self._A, self._B, o._A, o._B
-        # d = dn/dd: multiply through by dd so the sqrt(d)^2 term stays integral
-        dd = f._d_den
-        A = A1 * A2 * dd + f._d_num * B1 * B2
-        B = (A1 * B2 + B1 * A2) * dd
-        return _reduced(f, A, B, self._D * o._D * dd)
+        A, B = _mul(f, self._A, self._B, o._A, o._B)
+        return _reduced(f, A, B, self._D * o._D * f._d_den)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "FieldElement":
-        A, B, D = self._A, self._B, self._D
-        if not (A or B):
+        if not (self._A or self._B):
             raise ZeroElement("division by zero")
-        # 1/(a + b sqrt d) = (a - b sqrt d) / (a^2 - d b^2), scaled by D^2 dd;
-        # the norm is nonzero because d is not a square
-        f = self.field
-        dd = f._d_den
-        n = A * A * dd - f._d_num * B * B
-        s = D * dd if n > 0 else -D * dd
-        return _reduced(f, s * A, -s * B, abs(n))
+        n, (X, Y) = _divide(self.field, self._A, self._B, ((self._D, 0),))
+        return _reduced(self.field, X, Y, n)
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -497,6 +496,29 @@ def _reduced(field: LocalField, A: int, B: int, D: int) -> FieldElement:
     x.field = field
     x._A, x._B, x._D = A, B, D
     return x
+
+
+def _mul(f: LocalField, A1: int, B1: int, A2: int, B2: int) -> tuple:
+    """dd * (A1 + B1 sqrt(d)) (A2 + B2 sqrt(d)) as an int pair, d = dn/dd:
+    the factor dd keeps the sqrt(d)^2 term integral."""
+    dd = f._d_den
+    return (dd * A1 * A2 + f._d_num * B1 * B2, dd * (A1 * B2 + B1 * A2))
+
+
+def _divide(f: LocalField, P: int, Q: int, pairs) -> tuple:
+    """(n, [X, Y, ...]) with n > 0 and (A + B sqrt(d)) / (P + Q sqrt(d)) =
+    (X + Y sqrt(d)) / n for each (A, B) in ``pairs``; P + Q sqrt(d) != 0.
+    g = gcd(P, Q) is taken out before the conjugate: on a base field n is
+    then dd |P|, not dd P^2."""
+    g = gcd(P, Q)
+    P, Q = P // g, Q // g
+    n = _mul(f, P, Q, P, -Q)[0] * g
+    out = []
+    for A, B in pairs:
+        out += _mul(f, A, B, P, -Q)
+    if n < 0:
+        return -n, [-X for X in out]
+    return n, out
 
 
 def format_element(x: FieldElement) -> str:
@@ -570,9 +592,8 @@ def _residue_is_square(field: LocalField, r0: int, r1: int) -> bool:
     x^((p^2-1)/2) = (x^(p+1))^((p-1)/2) = n^((p-1)/2), so one F_p power
     decides both residue fields.
     """
-    p = field.p
     n = r0 * r0 - field.dbar * r1 * r1 if field.kind == "unram" else r0
-    return pow(n, (p - 1) // 2, p) == 1
+    return _is_qr(n, field.p)
 
 
 # ---------------------------------------------------------------------------
@@ -708,7 +729,9 @@ def norm(x: FieldElement) -> FieldElement:
     f = x.field
     if not f.is_extension:
         raise BaseFieldHasNoProperNorm("norm requires a quadratic extension")
-    return FieldElement(f.base(), x.a * x.a - f.d * x.b * x.b)
+    # N((A + B sqrt d) / D) = dd (A^2 - d B^2) / (dd D^2)
+    n = _mul(f, x._A, x._B, x._A, -x._B)[0]
+    return _reduced(f.base(), n, 0, f._d_den * x._D * x._D)
 
 
 def trace(x: FieldElement) -> FieldElement:
@@ -716,7 +739,7 @@ def trace(x: FieldElement) -> FieldElement:
     f = x.field
     if not f.is_extension:
         raise BaseFieldHasNoProperNorm("trace requires a quadratic extension")
-    return FieldElement(f.base(), 2 * x.a)
+    return _reduced(f.base(), 2 * x._A, 0, x._D)
 
 
 def embed_base(f_elt: FieldElement, E: LocalField) -> FieldElement:
@@ -727,4 +750,4 @@ def embed_base(f_elt: FieldElement, E: LocalField) -> FieldElement:
         raise FieldMismatch(
             f"{f_elt.field.spec_string()} does not embed in {E.spec_string()}"
         )
-    return FieldElement(E, f_elt.a)
+    return _reduced(E, f_elt._A, 0, f_elt._D)

@@ -198,7 +198,7 @@ class _Run:
         self.base = field.base()
         self.minus_one = field.elt(-1)
         self.reps = square_class_reps(field)
-        self.subgroups = class_subgroups(field)[1]
+        self.subgroups = class_subgroups(field)
         self.omega = omega_of(field)
         self.psi = standard_char(field)
         self.ident = MetaElement(Mat2.identity(field), 1)
@@ -559,12 +559,12 @@ def _weil_central_sign_twist(run, rng):
 
 def class_subgroups(field):
     """All 5 subgroups of the Klein four-group of square classes."""
-    classes = list(square_class_reps(field))
+    classes = square_class_reps(field)
     ident = classes[0]
     subs = [frozenset([ident])]
     subs.extend(frozenset([ident, c]) for c in classes[1:])
     subs.append(frozenset(classes))
-    return classes, subs
+    return subs
 
 
 def _pairs_plus(run, cls) -> bool:

@@ -35,7 +35,6 @@ numpy) to cross-check the table in the tests; these also check the factor
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -49,6 +48,7 @@ from .hilbert import Sign, pair_class_keys
 from .local_field import (
     FieldElement,
     LocalField,
+    _is_qr,
     _strip,
     class_key,
     rational_mod,
@@ -93,6 +93,7 @@ class RootOfUnity:
     @property
     def complex_value(self) -> complex:
         """The value as a complex number, for display only."""
+        import cmath
         return cmath.exp(2j * cmath.pi * float(self.exponent))
 
     def as_sign(self) -> Sign:
@@ -249,7 +250,7 @@ def _class_eighths(field: LocalField) -> tuple:
         g = 4 if p % 4 == 1 else 0
     else:
         g = 0 if p % 4 == 1 else 6
-        if field.kind == "ram" and pow(2 * field._d_unit, (p - 1) // 2, p) != 1:
+        if field.kind == "ram" and not _is_qr(2 * field._d_unit, p):
             g = (g + 4) % 8
     return (0, 4, g, g)
 

@@ -19,6 +19,7 @@ from kubota_meta.errors import (
     NotSL2,
     ZeroElement,
 )
+from kubota_meta.branching import NilpotentSl2
 from kubota_meta.hilbert import hilbert
 from kubota_meta.kubota import (
     SEED_GATE,
@@ -366,6 +367,21 @@ def test_integer_ops_match_fraction_oracle(fm, data):
         assert m.x_key() == class_key(x_of(m))
 
 
+@given(field_mats(1), st.data())
+def test_nilpotent_conjugation_matches_fraction_oracle(fm, data):
+    field, (g,) = fm
+    # Y = c (s, t)^T (t, -s) is traceless with det 0
+    s, t = data.draw(st.tuples(elements(field), elements(field)).filter(any))
+    c = data.draw(elements(field).filter(bool))
+    y = NilpotentSl2(field, c * s * t, -c * s * s, c * t * t)
+    moved = y.conjugate_by(g)
+    yc = tuple((x.a, x.b) for x in y.entries())
+    movedc = tuple((x.a, x.b) for x in moved.entries())
+    # moved = g Y g^-1 exactly when moved g = g Y, g being invertible
+    gc = coords(g)
+    assert mat_mul(movedc, gc, field.d) == mat_mul(gc, yc, field.d)
+
+
 @given(field_mats(1))
 def test_product_with_inverse_is_the_identity(fm):
     field, (g,) = fm
@@ -390,6 +406,7 @@ def test_long_fold_matches_oracle_product_and_literal_sign(field, seed):
         ref = mat_mul(ref, coords(g), field.d)
     assert coords(prod.g) == ref
     assert prod.eps == sign
+    assert meta_mul(prod, meta_inv(prod)) == MetaElement(Mat2.identity(field), 1)
 
 
 # ---------------------------------------------------------------------------

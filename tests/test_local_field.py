@@ -132,6 +132,9 @@ def test_base_of_extension():
     assert E5U.base() == Q5
     assert E5R.base() == Q5
     assert Q5.base() == Q5
+    # one descriptor per field, so its cached data is computed once
+    assert E5U.base() is E5U.base()
+    assert Q5.base() is Q5
 
 
 def test_base_field_element_cannot_carry_root():
@@ -259,11 +262,15 @@ def test_arithmetic_with_rational_d_matches_coordinate_formulas(field, a1, b1, a
     s = x - y
     assert (s.a, s.b) == (a1 - a2, b1 - b2)
     assert norm(x) == field.base().elt(a1 * a1 - d * b1 * b1)
+    assert trace(x) == field.base().elt(2 * a1)
+    assert embed_base(norm(x), field) == x * x.conj()
+    assert embed_base(trace(x), field) == x + x.conj()
     if x.is_zero():
         return
     n = a1 * a1 - d * b1 * b1
     inv = x.inverse()
     assert (inv.a, inv.b) == (a1 / n, -b1 / n)
+    assert norm(x).inverse() == field.base().elt(1 / n)
     assert x * inv == field.one()
     assert x ** -2 == (x * x).inverse()
 
