@@ -36,16 +36,12 @@ from .kubota import (
     Mat2,
     MetaElement,
     beta,
-    beta_sl2,
     check_cocycle,
     commutator_pairing,
-    conj_by_det,
     is_split_on_GL2F,
     meta_inv,
     meta_mul,
     p_part,
-    v_factor,
-    x_of,
 )
 from .local_field import (
     FieldElement,

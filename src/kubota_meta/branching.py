@@ -115,7 +115,7 @@ def packet_product(model: TauTwistModel) -> dict:
     non-discrete ones, exhaustively checkable.
     """
     m2 = len(model.S)
-    stab = sum(1 for a in model.S if _pairs_minus_one(a) == 1)
+    stab = multiplicity(model)
     if model.discrete:
         partner_reachable = stab < m2
         m1 = (4 if partner_reachable else 8) // stab

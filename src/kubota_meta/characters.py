@@ -83,8 +83,7 @@ def count_agreeing_extensions(E: LocalField) -> int:
     """
     if not E.is_extension:
         raise BaseFieldInput("agreement count needs a quadratic extension")
-    f_keys = [square_class(embed_base(rep.rep, E)).key for rep in
-              square_class_reps(E.base())]
+    f_keys = [c.key for c in f_image_classes(E)]
     count = 0
     for a in square_class_reps(E):
         if all(pair_class_keys(E, a.key, fk) == 1 for fk in f_keys):

@@ -38,10 +38,6 @@ class BaseFieldInput(KubotaMetaError):
     """A quadratic extension is required; a base field was supplied."""
 
 
-class NotSL2(KubotaMetaError):
-    """Matrix argument must have determinant 1."""
-
-
 class NotFRational(KubotaMetaError):
     """Matrix entries must all lie in the base field."""
 

@@ -48,12 +48,11 @@ from .errors import (
     BaseFieldInput,
     FieldMismatch,
     NotFRational,
-    NotSL2,
     ZeroElement,
 )
 from math import gcd, lcm
 
-from .hilbert import Sign, hilbert, pair_class_keys
+from .hilbert import Sign, pair_class_keys
 from .local_field import FieldElement, LocalField, _class_key, _divide, _mul, _reduced
 
 
@@ -263,13 +262,7 @@ class Mat2:
 
 
 # ---------------------------------------------------------------------------
-# the displayed maps
-
-
-def x_of(g: Mat2) -> FieldElement:
-    """c when c != 0, else d (nonzero by invertibility)."""
-    c = g.c
-    return c if c else g.d
+# the SL2 part
 
 
 def p_part(g: Mat2) -> Mat2:
@@ -284,48 +277,11 @@ def p_part(g: Mat2) -> Mat2:
                      *(s * X for X in bottom), D * n), 0)
 
 
-def conj_by_det(g: Mat2, y: FieldElement) -> Mat2:
-    """g^y = diag(1, y)^(-1) g diag(1, y); preserves the determinant."""
-    if y.is_zero():
-        raise ZeroElement("conjugation parameter must be nonzero")
-    f = g.field
-    a0, a1, b0, b1, c0, c1, d0, d1, D = g._q
-    yA, yB, yD = y._A, y._B, y._D
-    dd = f._d_den
-    # b y = by / (D yD dd) and c / y = yD cy / (D m)
-    by = _mul(f, b0, b1, yA, yB)
-    m, cy = _divide(f, yA, yB, ((c0, c1),))
-    # everything over the denominator D yD dd m
-    s = yD * dd * m
-    t = yD * yD * dd
-    return _mat2(f, (a0 * s, a1 * s, by[0] * m, by[1] * m, cy[0] * t, cy[1] * t,
-                     d0 * s, d1 * s, D * s), g._kdet)
-
-
-def v_factor(y: FieldElement, g: Mat2) -> Sign:
-    """1 when c != 0; the symbol (y, d) when c = 0.  Expects g in SL2."""
-    if y.is_zero():
-        raise ZeroElement("v factor needs nonzero y")
-    if g.c:
-        return 1
-    return hilbert(y, g.d)
-
-
-def beta_sl2(g1: Mat2, g2: Mat2) -> Sign:
-    """Kubota's cocycle on SL2, evaluated literally from its definition."""
-    one = g1.field.one()
-    if g1.det != one or g2.det != one:
-        raise NotSL2("beta_sl2 requires determinant-1 arguments")
-    x1 = x_of(g1)
-    x2 = x_of(g2)
-    x12 = x_of(g1 @ g2)
-    return hilbert(x1, x2) * hilbert(-(x2 / x1), x12)
-
-
 def beta(g1: Mat2, g2: Mat2) -> Sign:
     """The GL2 cocycle.
 
-    Restricted to SL2 this equals beta_sl2; on pairs of upper-triangular
+    Restricted to SL2 it is the formula (x(g1), x(g2)) (-x(g1)^(-1) x(g2),
+    x(g1 g2)) of the module docstring; on pairs of upper-triangular
     matrices it collapses to the symbol (a1, d2) of the diagonal entries.
     """
     if g1.field != g2.field:

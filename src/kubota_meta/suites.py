@@ -259,8 +259,8 @@ def rand_mat2(rng, field, height, f_rational=False):
             continue
 
 
-def rand_sl2(rng, field, height, f_rational=False):
-    return p_part(rand_mat2(rng, field, height, f_rational=f_rational))
+def rand_sl2(rng, field, height):
+    return p_part(rand_mat2(rng, field, height))
 
 
 def rand_upper(rng, field, height):

@@ -27,10 +27,10 @@ gamma(a, psi_s) = (a, s) gamma(a, psi0), and the product relation
 
 holds on the nose.  Values of psi, gamma and chi_psi are all one exact
 type, :class:`RootOfUnity`, and :func:`central_sign` divides two of them
-exactly.  Complex numbers appear only in ``RootOfUnity.complex_value``, for
-display, and in :func:`gauss_sum`, which computes S(c) numerically (with
-numpy) to cross-check the table in the tests; these also check the factor
-(a, pi) against the classical index summed term by term over pi^-1 O / pi O.
+exactly.  Complex numbers appear only in :func:`gauss_sum`, which computes
+S(c) numerically (with numpy) to cross-check the table in the tests; these
+also check the factor (a, pi) against the classical index summed term by
+term over pi^-1 O / pi O.
 """
 
 from __future__ import annotations
@@ -89,12 +89,6 @@ class RootOfUnity:
     @property
     def label(self) -> str:
         return f"{self.eighths}/8"
-
-    @property
-    def complex_value(self) -> complex:
-        """The value as a complex number, for display only."""
-        import cmath
-        return cmath.exp(2j * cmath.pi * float(self.exponent))
 
     def as_sign(self) -> Sign:
         if self.exponent == 0:

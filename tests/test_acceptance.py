@@ -59,7 +59,7 @@ from kubota_meta.weil import (
     standard_char,
     weil_index,
 )
-from oracles import legendre_enum, residue_squares
+from oracles import legendre_enum, residue_squares, root_value
 
 HEIGHT = 50
 
@@ -171,7 +171,7 @@ def test_a06_weil_relation_16_pairs_snapped_with_1e9_residual():
         for c in square_class_reps(field):
             num = gauss_sum(psi, c.rep * pi_inv, DEFAULT_LEVEL)
             q = (num / abs(num)) / (den / abs(den))
-            snapped = weil_index(c.rep, psi).complex_value
+            snapped = root_value(weil_index(c.rep, psi))
             assert abs(q - snapped) < 1e-9, (field.spec_string(), c.label)
         # unit indices against the enumeration oracle
         for c in square_class_reps(field)[:2]:

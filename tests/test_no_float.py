@@ -3,8 +3,8 @@
 The AST of every module in ``kubota_meta`` is walked for float and complex
 literals, the names ``float`` and ``complex``, and imports of ``cmath`` and
 ``numpy``.  Each hit must sit in an allowlisted scope: the numerical Gauss
-sums that cross-check the Weil-index table, the display value of a root of
-unity, and the wall-clock timings of the suites.  An allowlist entry that
+sums that cross-check the Weil-index table and the wall-clock timings of
+the suites.  An allowlist entry that
 no longer matches anything fails too, so the list shrinks with the code.
 """
 
@@ -17,7 +17,6 @@ PACKAGE = Path(kubota_meta.__file__).parent
 
 # scope -> the tokens allowed in it (None: any)
 ALLOWLIST = {
-    "weil.RootOfUnity.complex_value": None,
     "weil._char_sum": None,
     "weil.gauss_sum": None,
     "weil.SNAP_TOLERANCE": None,
