@@ -212,7 +212,8 @@ class NilpotentSl2:
     def conjugate_by(self, g: Mat2) -> "NilpotentSl2":
         """g Y g^-1, as products of nine-int matrices."""
         f = self.field
-        q = _product(f, _product(f, g._q, _common(self.entries())), g.inverse()._q)
+        y = _common([(x._A, x._B, x._D) for x in self.entries()])
+        q = _product(f, _product(f, g._q, y), g.inverse()._q)
         return NilpotentSl2.from_entries(f, *_elements(f, q))
 
     def __repr__(self) -> str:

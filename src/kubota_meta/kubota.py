@@ -60,16 +60,18 @@ from .local_field import FieldElement, LocalField, _class_key, _divide, _mul, _r
 # 2x2 matrices as nine ints (A_a, B_a, A_b, B_b, A_c, B_c, A_d, B_d, D)
 
 
-def _common(entries) -> tuple:
-    """The nine ints of four FieldElements over their least common denominator.
+def _common(triples) -> tuple:
+    """The nine ints of four entries (A, B, D), D > 0, over the least
+    common denominator.
 
-    With each entry in lowest terms, the nine ints are coprime.
+    With each triple in lowest terms, the nine ints are coprime; else
+    ``_mat2`` divides out their content.
     """
-    D = lcm(*(x._D for x in entries))
+    D = lcm(*(t[2] for t in triples))
     q = []
-    for x in entries:
-        s = D // x._D
-        q += (x._A * s, x._B * s)
+    for A, B, E in triples:
+        s = D // E
+        q += (A * s, B * s)
     q.append(D)
     return tuple(q)
 
@@ -180,7 +182,7 @@ class Mat2:
                     entry.field is not field and entry.field != field):
                 raise FieldMismatch("matrix entries must lie in the given field")
         self.field = field
-        self._q = _common((a, b, c, d))
+        self._q = _common([(x._A, x._B, x._D) for x in (a, b, c, d)])
         if _det_ints(field, self._q) == (0, 0):
             raise ValueError("matrix is singular")
         self._kdet = None

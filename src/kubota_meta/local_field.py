@@ -11,7 +11,8 @@ positive denominator (only ``kubota._product``, a hot loop, inlines
 coordinates ``.a`` and ``.b`` read back as ``Fraction``.  The elements are
 dense in the completed field, so valuations, residue reduction, norms, and
 square classes are all computed without any precision management, from the
-p-adic valuations of the three ints and one modular inverse.
+p-adic valuations of the three ints and one Euler power mod p; only
+``unit_part``, which returns the residue itself, takes a modular inverse.
 
 Fields come in three kinds:
 
@@ -601,11 +602,12 @@ def _residue_is_square(field: LocalField, r0: int, r1: int) -> bool:
 
 
 def _valuation_and_residue(f: LocalField, A: int, B: int, D: int) -> tuple:
-    """(v(x), r0, r1) for x = (A + B*sqrt(d)) / D with D > 0: the valuation
-    and the residue of x * pi^(-v(x)).
+    """(v(x), r0, r1, u) for x = (A + B*sqrt(d)) / D with D > 0: the
+    valuation, and the residue of x * pi^(-v(x)) as (r0 + r1*sqrt(dbar)) / u
+    with u a unit mod p, left undivided.
 
     The triple need not be in lowest terms: scaling A, B and D by one
-    common factor leaves the result unchanged.
+    common factor leaves v and the residue unchanged.
     """
     if not (A or B):
         raise ZeroElement("valuation of 0 is undefined")
@@ -614,17 +616,17 @@ def _valuation_and_residue(f: LocalField, A: int, B: int, D: int) -> tuple:
     Du = D % p
     if Du and (A % p or B % p and not ram):
         # the common unit, nothing to strip: v = 0 and the residue is x mod p
-        inv = pow(Du, -1, p)
-        return 0, A * inv % p, 0 if ram else B * inv % p
+        return 0, A % p, 0 if ram else B % p, Du
     P, K = f._digit
     vD = 0
     if not Du:
         vD, Du = _strip(D, p, P, K)
     if ram:
         # v(A + B*sqrt(d)) = min(2 v_p(A), 2 v_p(B) + 1); the two candidates
-        # have opposite parity so the min is never a tie.  With d = p*u,
+        # have opposite parity so the min is never a tie.  With d = p*w,
         # dividing by sqrt(d)^v leaves the sqrt(d) coordinate in the maximal
-        # ideal, so the residue is carried by one coordinate over D * u^k.
+        # ideal, so the residue is one coordinate's unit over (D's unit) *
+        # w^k; for k < 0 the w^-k goes on top, so no inverse is taken.
         if A:
             vA, Au = _strip(A, p, P, K)
         if B:
@@ -635,7 +637,9 @@ def _valuation_and_residue(f: LocalField, A: int, B: int, D: int) -> tuple:
         else:
             k = vB - vD
             v, unit = 2 * k + 1, Bu
-        return v, unit * pow(Du * pow(f._d_unit, k, p), -1, p) % p, 0
+        if k < 0:
+            return v, unit * pow(f._d_unit, -k, p), 0, Du
+        return v, unit, 0, Du * pow(f._d_unit, k, p)
     # base and unramified: pi = p, so v = min(v_p(A), v_p(B)) - v_p(D), and
     # a coordinate of higher valuation has residue 0
     m, a, b = None, 0, 0
@@ -647,8 +651,7 @@ def _valuation_and_residue(f: LocalField, A: int, B: int, D: int) -> tuple:
             m, a = vB, 0
         elif vB > m:
             b = 0
-    inv = pow(Du, -1, p)
-    return m - vD, a * inv % p, b * inv % p
+    return m - vD, a, b, Du
 
 
 def valuation(x: FieldElement) -> int:
@@ -658,8 +661,9 @@ def valuation(x: FieldElement) -> int:
 
 def unit_part(x: FieldElement) -> ResidueElement:
     """Residue of x * pi^(-v(x)) mod the maximal ideal; always nonzero."""
-    _, r0, r1 = _valuation_and_residue(x.field, x._A, x._B, x._D)
-    return ResidueElement(x.field, r0, r1)
+    _, r0, r1, u = _valuation_and_residue(x.field, x._A, x._B, x._D)
+    inv = pow(u, -1, x.field.p)
+    return ResidueElement(x.field, r0 * inv, r1 * inv)
 
 
 def class_key(x: FieldElement) -> int:
@@ -676,9 +680,16 @@ def class_key(x: FieldElement) -> int:
 
 
 def _class_key(f: LocalField, A: int, B: int, D: int) -> int:
-    """:func:`class_key` of (A + B*sqrt(d)) / D, D > 0, in any terms."""
-    v, r0, r1 = _valuation_and_residue(f, A, B, D)
-    return 2 * (v & 1) + (0 if _residue_is_square(f, r0, r1) else 1)
+    """:func:`class_key` of (A + B*sqrt(d)) / D, D > 0, in any terms.
+
+    The residue (r0 + r1*sqrt(dbar)) / u is never divided out: on F_p it
+    has the square class of r0 * u, and on F_{p^2} the unit u of F_p is a
+    square, so the norm r0^2 - dbar r1^2 decides (see
+    :func:`_residue_is_square`).
+    """
+    v, r0, r1, u = _valuation_and_residue(f, A, B, D)
+    n = r0 * r0 - f.dbar * r1 * r1 if f.kind == "unram" else r0 * u
+    return 2 * (v & 1) + (0 if _is_qr(n, f.p) else 1)
 
 
 def is_square(x: FieldElement) -> bool:

@@ -56,6 +56,9 @@ from .hilbert import hilbert, hilbert_via_norm, pairing_table
 from .kubota import (
     Mat2,
     MetaElement,
+    _common,
+    _det_ints,
+    _mat2,
     beta,
     check_cocycle,
     commutator_pairing,
@@ -65,8 +68,8 @@ from .kubota import (
     p_part,
 )
 from .local_field import (
-    FieldElement,
     LocalField,
+    _reduced,
     embed_base,
     square_class,
     square_class_reps,
@@ -214,24 +217,26 @@ def _rng(field: LocalField, config: RunConfig, check_name: str) -> SplitMix64:
 # samplers
 
 
-def _rand_entry(rng, field, height, base_only):
-    """a + b*sqrt(d) with a and b drawn as n/m, n in [-height, height] and
-    m in [1, height], numerator first; b = 0 (and undrawn) if base_only.
+def _rand_entry(rng, height, base_only):
+    """The ints (A, B, D) of a + b*sqrt(d), with a and b drawn as n/m, n in
+    [-height, height] and m in [1, height], numerator first; b = 0 (and
+    undrawn) if base_only.
 
-    The element is built from the integer draws directly.
+    The triple is not reduced: the callers build their element or matrix
+    from it directly.
     """
     n0, m0 = rng.randint(-height, height), rng.randint(1, height)
     if base_only:
-        return FieldElement.from_ints(field, n0, 0, m0)
+        return n0, 0, m0
     n1, m1 = rng.randint(-height, height), rng.randint(1, height)
-    return FieldElement.from_ints(field, n0 * m1, n1 * m0, m0 * m1)
+    return n0 * m1, n1 * m0, m0 * m1
 
 
 def rand_element(rng, field, height, nonzero=False):
     while True:
-        x = _rand_entry(rng, field, height, not field.is_extension)
-        if not nonzero or x:
-            return x
+        A, B, D = _rand_entry(rng, height, not field.is_extension)
+        if not nonzero or A or B:
+            return _reduced(field, A, B, D)
 
 
 def rand_unit(rng, field, height):
@@ -240,23 +245,24 @@ def rand_unit(rng, field, height):
 
 
 def rand_mat2(rng, field, height, f_rational=False):
-    # c = 0 in a fifth of draws so the degenerate Kubota branch stays
-    # exercised; the coin is flipped before the entries to keep the stream
-    # aligned across retries.
+    """A random invertible matrix, with c = 0 in a fifth of draws so the
+    degenerate Kubota branch stays exercised.
+
+    The coin is flipped before the entries, and c is drawn even when it is
+    then set to 0, to keep the stream aligned across redraws.  The four
+    triples go over one denominator and ``_mat2`` divides out the content,
+    which gives the nine ints ``Mat2(field, a, b, c, d)`` would store; a
+    singular draw is detected on the ints and drawn again.
+    """
     force_c_zero = rng.chance(1, 5)
     base_only = f_rational or not field.is_extension
-
-    def entry():
-        return _rand_entry(rng, field, height, base_only)
-
     while True:
-        a, b, c, d = entry(), entry(), entry(), entry()
+        entries = [_rand_entry(rng, height, base_only) for _ in range(4)]
         if force_c_zero:
-            c = field.zero()
-        try:
-            return Mat2(field, a, b, c, d)
-        except ValueError:  # singular: draw again
-            continue
+            entries[2] = (0, 0, 1)
+        q = _common(entries)
+        if _det_ints(field, q) != (0, 0):
+            return _mat2(field, q, None)
 
 
 def rand_sl2(rng, field, height):

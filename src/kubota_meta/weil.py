@@ -26,8 +26,10 @@ gamma(a, psi_s) = (a, s) gamma(a, psi0), and the product relation
     gamma(a) gamma(b) = (a, b) gamma(ab)
 
 holds on the nose.  Values of psi, gamma and chi_psi are all one exact
-type, :class:`RootOfUnity`, and :func:`central_sign` divides two of them
-exactly.  Complex numbers appear only in :func:`gauss_sum`, which computes
+type, :class:`RootOfUnity`, stored as two ints n / M; as for field
+elements, ``Fraction`` is only the API boundary (the constructor and
+``.exponent``), and :func:`central_sign` divides two roots exactly on the
+ints.  Complex numbers appear only in :func:`gauss_sum`, which computes
 S(c) numerically (with numpy) to cross-check the table in the tests; these
 also check the factor (a, pi) against the classical index summed term by
 term over pi^-1 O / pi O.
@@ -37,6 +39,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 from .errors import (
     FieldMismatch,
@@ -63,43 +66,71 @@ DEFAULT_LEVEL = 2
 # exact roots of unity
 
 
-@dataclass(frozen=True)
 class RootOfUnity:
-    """exp(2 pi i exponent) with an exact rational exponent mod 1."""
+    """exp(2 pi i n / M), stored as two ints with 0 <= n < M and
+    gcd(n, M) = 1; ``.exponent`` reads n / M back as a ``Fraction``."""
 
-    exponent: Fraction
+    __slots__ = ("_n", "_M")
 
-    def __post_init__(self):
-        object.__setattr__(self, "exponent", self.exponent % 1)
+    def __init__(self, exponent):
+        e = Fraction(exponent)
+        self._n = e.numerator % e.denominator
+        self._M = e.denominator
+
+    @property
+    def exponent(self) -> Fraction:
+        return Fraction(self._n, self._M)
 
     def __mul__(self, other: "RootOfUnity") -> "RootOfUnity":
-        return RootOfUnity(self.exponent + other.exponent)
+        return _root(self._n * other._M + other._n * self._M, self._M * other._M)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not RootOfUnity:
+            return NotImplemented
+        return self._n == other._n and self._M == other._M
+
+    def __hash__(self):
+        return hash((self._n, self._M))
+
+    def __repr__(self) -> str:
+        return f"RootOfUnity(exponent={self.exponent!r})"
 
     def is_one(self) -> bool:
-        return self.exponent == 0
+        return not self._n
 
     @property
     def eighths(self) -> int:
         """k with self = exp(2 pi i k / 8); ValueError unless self^8 = 1."""
-        e = self.exponent * 8
-        if e.denominator != 1:
+        if 8 % self._M:
             raise ValueError(f"{self.exponent} is not a multiple of 1/8")
-        return e.numerator
+        return self._n * (8 // self._M)
 
     @property
     def label(self) -> str:
         return f"{self.eighths}/8"
 
     def as_sign(self) -> Sign:
-        if self.exponent == 0:
+        if self._M == 1:
             return 1
-        if self.exponent == Fraction(1, 2):
+        if self._M == 2:
             return -1
         raise NotASign(f"exp(2 pi i {self.exponent}) is not +-1")
 
 
+_new_root = object.__new__
+
+
+def _root(n: int, M: int) -> RootOfUnity:
+    """exp(2 pi i n / M) for ints n and M > 0, in lowest terms."""
+    n %= M
+    g = gcd(n, M)
+    r = _new_root(RootOfUnity)
+    r._n, r._M = n // g, M // g
+    return r
+
+
 # exp(pi i) = -1
-MINUS_ONE_ROOT = RootOfUnity(Fraction(1, 2))
+MINUS_ONE_ROOT = _root(1, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -148,7 +179,7 @@ def psi_eval(psi: AdditiveChar, x: FieldElement) -> RootOfUnity:
         n = 2 * c._B
     m = _strip(c._D, f.p, *f._digit)[0]
     M = f.p ** m
-    return RootOfUnity(Fraction(n * pow(c._D // M, -1, M) % M, M))
+    return _root(n * pow(c._D // M, -1, M), M)
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +295,7 @@ def weil_index(a: FieldElement, psi: AdditiveChar) -> RootOfUnity:
     eighths = _class_eighths(psi.field)[key]
     if pair_class_keys(psi.field, key, class_key(psi.scale)) == -1:
         eighths += 4
-    return RootOfUnity(Fraction(eighths, 8))
+    return _root(eighths, 8)
 
 
 def chi_psi_eval(z: FieldElement, eps: Sign, psi: AdditiveChar) -> RootOfUnity:
@@ -284,4 +315,4 @@ def central_sign(omega: RootOfUnity, psi: AdditiveChar) -> Sign:
     if not isinstance(omega, RootOfUnity):
         raise NotASign(f"central character value {omega!r} is not an exact root of unity")
     ref = chi_psi_eval(psi.field.elt(-1), 1, psi)
-    return RootOfUnity(omega.exponent - ref.exponent).as_sign()
+    return _root(omega._n * ref._M - ref._n * omega._M, omega._M * ref._M).as_sign()

@@ -24,7 +24,9 @@ from kubota_meta.local_field import (
     FieldElement,
     ResidueElement,
     SquareClass,
+    _class_key,
     _is_prime,
+    _valuation_and_residue,
     class_key,
     embed_base,
     format_element,
@@ -39,7 +41,15 @@ from kubota_meta.local_field import (
     vp_int,
 )
 from kubota_meta.weil import psi_eval, standard_char
-from oracles import legendre_enum, psi_exponent, residue_squares, unit_residue, vp
+from oracles import (
+    legendre_enum,
+    psi_exponent,
+    residue_is_square,
+    residue_squares,
+    unit_residue,
+    valuation_residue,
+    vp,
+)
 from oracles import vp_int as oracle_vp_int
 
 Q3 = make_field(3)
@@ -312,6 +322,29 @@ def test_square_class_data_with_rational_d_match_oracles(field, a, b, i, j):
     assert class_key(x) == 2 * (v % 2) + (0 if square else 1)
     y = field.elt(b, a) if a else field.uniformizer
     assert class_key(x * y) == class_key(x) ^ class_key(y)
+
+
+@pytest.mark.parametrize("field", ALL_FIELDS + RATIONAL_D_FIELDS, ids=lambda f: f.spec_string())
+@given(a=st.integers(-2000, 2000), b=st.integers(-2000, 2000), m=st.integers(1, 2000),
+       i=st.integers(0, 3), j=st.integers(0, 3), k=st.integers(0, 4),
+       s=st.integers(1, 60), t=st.integers(0, 3))
+def test_residue_is_left_undivided_and_scale_free(field, a, b, m, i, j, k, s, t):
+    # x = (A + B sqrt(d)) / D with p-powers in A, B and D, then the same
+    # triple scaled by s p^t: v and the residue class (r0, r1) / u agree
+    # with the Fraction oracle, and the class key with the listed squares
+    p = field.p
+    A, B, D = a * p**i, b * p**j if field.is_extension else 0, m * p**k
+    if not (A or B):
+        return
+    want_v, want_r = valuation_residue((Fraction(A, D), Fraction(B, D)), field)
+    want_key = 2 * (want_v % 2) + (0 if residue_is_square(want_r, field) else 1)
+    for scale in (1, s * p**t):
+        triple = (A * scale, B * scale, D * scale)
+        v, r0, r1, u = _valuation_and_residue(field, *triple)
+        inv = pow(u, -1, p)
+        assert v == want_v
+        assert (r0 * inv % p, r1 * inv % p) == want_r
+        assert _class_key(field, *triple) == want_key
 
 
 # a prime past 2^30: its powers never fit one 30-bit CPython digit

@@ -67,6 +67,11 @@ def test_root_of_unity_arithmetic():
     assert (r * r * r * r * r).is_one()
     assert not r.is_one()
     assert RootOfUnity(Fraction(7, 5)) == RootOfUnity(Fraction(2, 5))
+    # check witnesses print roots in this form
+    assert repr(r) == "RootOfUnity(exponent=Fraction(1, 5))"
+    assert repr(RootOfUnity(Fraction(-9, 8))) == "RootOfUnity(exponent=Fraction(7, 8))"
+    # an int exponent reads back as a Fraction too
+    assert repr(RootOfUnity(3)) == "RootOfUnity(exponent=Fraction(0, 1))"
 
 
 def test_eighth_root_arithmetic():
@@ -84,6 +89,48 @@ def test_eighth_root_arithmetic():
         RootOfUnity(Fraction(1, 3)).eighths
     with pytest.raises(NotASign):
         RootOfUnity(Fraction(1, 3)).as_sign()
+
+
+# denominators of the roots the package builds: eighths, and p-powers
+ROOT_DENOMINATORS = (1, 2, 4, 8, 3, 9, 27, 5, 125, 7, 343, 13, 169)
+
+
+def exponents():
+    return st.builds(Fraction, st.integers(-10**6, 10**6), st.sampled_from(ROOT_DENOMINATORS))
+
+
+@given(exponents(), exponents())
+@example(Fraction(-9, 8), Fraction(17, 8))
+@example(Fraction(5, 2), Fraction(-1, 2))
+@example(Fraction(-250, 125), Fraction(0))
+def test_int_root_matches_fraction_arithmetic(x, y):
+    # the two ints n / M against the Fraction exponent they stand for
+    r, s = RootOfUnity(x), RootOfUnity(y)
+    e = x % 1
+    assert type(r.exponent) is Fraction and r.exponent == e
+    assert RootOfUnity(exponent=x).exponent == e
+    assert (r == s) == (e == y % 1)
+    if r == s:
+        assert hash(r) == hash(s)
+    assert r * s == RootOfUnity(x + y)
+    assert (r * s).exponent == (x + y) % 1
+    assert r.is_one() == (e == 0)
+    assert repr(r) == f"RootOfUnity(exponent={e!r})"
+    if (8 * e).denominator == 1:
+        assert r.eighths == 8 * e
+        assert r.label == f"{8 * e}/8"
+    else:
+        with pytest.raises(ValueError, match="not a multiple of 1/8"):
+            r.eighths
+        with pytest.raises(ValueError):
+            r.label
+    if e in (0, Fraction(1, 2)):
+        assert r.as_sign() == (1 if e == 0 else -1)
+    else:
+        with pytest.raises(NotASign):
+            r.as_sign()
+    with pytest.raises(AttributeError):
+        r.exponent = e
 
 
 # ---------------------------------------------------------------------------
