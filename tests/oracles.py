@@ -245,3 +245,19 @@ def weil_index_classical(psi, a, n: int) -> complex:
     x = y / pi^n, y runs over O mod pi^(2n)."""
     total = gauss_sum_brute(psi, a * psi.field.uniformizer ** (-2 * n), 2 * n)
     return total / abs(total)
+
+
+def splitmix64(seed: int, n: int) -> list:
+    """The first n outputs of SplitMix64 (Steele, Lea and Flood, 2014) from
+    ``seed``, one at a time as the published loop computes them, each as
+    (state after the output, output)."""
+    mask = (1 << 64) - 1
+    state = seed & mask
+    out = []
+    for _ in range(n):
+        state = (state + 0x9E3779B97F4A7C15) & mask
+        z = state
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+        out.append((state, z ^ (z >> 31)))
+    return out

@@ -15,10 +15,19 @@ and tied, with "better" read from ``BENCHMARK.json``.  Traced runs
 keeps its environment stamp, seed, attempted and failed counts and
 correctness.  The record is written to ``BENCH_<pr>.json`` at the
 repository root.
+
+Each side also gets ``src_sha256``, a hash over the names and bytes of the
+``src/kubota_meta/*.py`` files of the checkout that holds its out
+directory (``<out>/../../src``), or null when there is none.  The
+result files' own ``git_sha`` stamp reads ``unknown`` outside a git
+checkout and names a commit, not an edited tree; the hash names the code.
+It is taken when the record is written, so it names the code that ran
+only if neither tree was edited between the runs and the record.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import re
 import statistics
@@ -38,6 +47,20 @@ def load_runs(out_dir: Path) -> dict:
             key = (m["workload"], int(m["seed"]), int(m["trace"]))
             runs[key] = json.loads(path.read_text())
     return runs
+
+
+def src_sha256(out_dir: Path):
+    """sha256 over the sorted names and bytes of the package sources of the
+    checkout ``out_dir`` belongs to, or None without such sources."""
+    pkg = out_dir.resolve().parent.parent / "src" / "kubota_meta"
+    if not pkg.is_dir():
+        return None
+    h = hashlib.sha256()
+    for path in sorted(pkg.glob("*.py")):
+        data = path.read_bytes()
+        h.update(f"{path.name}\0{len(data)}\0".encode())
+        h.update(data)
+    return h.hexdigest()
 
 
 def summary(values: list) -> dict:
@@ -93,20 +116,29 @@ def traced(workload: str, parent: dict, change: dict) -> dict:
     return out
 
 
-def main(argv: list) -> int:
-    if len(argv) != 3:
-        print(__doc__.strip().splitlines()[2].strip(), file=sys.stderr)
-        return 2
-    pr, parent_dir, change_dir = argv
-    parent, change = load_runs(Path(parent_dir)), load_runs(Path(change_dir))
+def build(pr: str, parent_dir: Path, change_dir: Path) -> dict:
+    """The record of the runs in two out directories."""
+    parent, change = load_runs(parent_dir), load_runs(change_dir)
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] == "lower" for m in bench["end_to_end"]}
-    record = {"pr": pr, "benchmark_command": bench["command"], "workloads": {}}
+    record = {"pr": pr, "benchmark_command": bench["command"],
+              "src_sha256": {"parent": src_sha256(parent_dir),
+                             "change": src_sha256(change_dir)},
+              "workloads": {}}
     for wl in (w["name"] for w in bench["workloads"]):
         seeds = sorted(s for (w, s, t) in parent if w == wl and t == 0 and (w, s, 0) in change)
         entry = compare(wl, seeds, parent, change, better) if seeds else {"seeds": []}
         entry["traced"] = traced(wl, parent, change)
         record["workloads"][wl] = entry
+    return record
+
+
+def main(argv: list) -> int:
+    if len(argv) != 3:
+        print(__doc__.strip().splitlines()[2].strip(), file=sys.stderr)
+        return 2
+    pr, parent_dir, change_dir = argv
+    record = build(pr, Path(parent_dir), Path(change_dir))
     out = ROOT / f"BENCH_{pr}.json"
     out.write_text(json.dumps(record, indent=1) + "\n")
     print(f"wrote {out.name}: " + ", ".join(
