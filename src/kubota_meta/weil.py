@@ -30,13 +30,16 @@ type, :class:`RootOfUnity`, stored as two ints n / M; as for field
 elements, ``Fraction`` is only the API boundary (the constructor and
 ``.exponent``), and :func:`central_sign` divides two roots exactly on the
 ints.  Complex numbers appear only in :func:`gauss_sum`, which computes
-S(c) numerically (with numpy) to cross-check the table in the tests; these
-also check the factor (a, pi) against the classical index summed term by
-term over pi^-1 O / pi O.
+S(c) numerically to cross-check the table in the tests: it counts the
+integer exponents over the residue grid and sums at most one ``cmath``
+root per residue of the character's denominator.  The tests also check the
+factor (a, pi) against the classical index summed term by term over
+pi^-1 O / pi O.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -191,8 +194,13 @@ def _char_sum(psi: AdditiveChar, a: FieldElement, k: int) -> complex:
 
     The exponent of each term is a quadratic form in the residue
     coordinates; its coefficients are reduced once modulo the p-power
-    denominator so the grid evaluation is pure integer arithmetic.
+    denominator M, so it depends on each coordinate only mod M.  A
+    coordinate range n (a power of p) past M is therefore the M residues,
+    each counted n / M times: the exponents are counted over the reduced
+    grid, and at most M roots of unity are summed.
     """
+    import cmath
+
     f = psi.field
     p = f.p
     c = psi.scale * a
@@ -207,38 +215,20 @@ def _char_sum(psi: AdditiveChar, a: FieldElement, k: int) -> complex:
         # residue system with y0 mod p^ceil(k/2), y1 mod p^floor(k/2)
         coeffs = (2 * c.b, 2 * c.b * f.d, 4 * c.a)
         n0, n1 = p ** ((k + 1) // 2), p ** (k // 2)
-    if n0 * n1 > 30_000_000:
-        raise ValueError(f"residue grid at level {k} is too large to enumerate")
 
     vals = [vp_fraction(t, p) for t in coeffs if t]
     m = max(0, -min(vals)) if vals else 0
     if m == 0:
         return complex(n0 * n1)
     M = p ** m
-    if M > 1 << 30:
-        raise ValueError("character denominator too large to enumerate")
+    r0, r1 = min(n0, M), min(n1, M)
+    if r0 * r1 > 30_000_000:
+        raise ValueError(f"residue grid at level {k} is too large to enumerate")
     A, B, C = (rational_mod(t * M, M) if t else 0 for t in coeffs)
-
-    import numpy as np
-
-    y0 = np.arange(n0, dtype=np.int64)
-    q0 = (y0 * y0) % M
-    if n1 == 1:
-        e = (A * q0) % M
-    else:
-        y1 = np.arange(n1, dtype=np.int64)
-        q1 = (y1 * y1) % M
-        cross = (y0[:, None] * y1[None, :]) % M
-        # int64 cannot overflow: A, B, C and the grids are reduced mod
-        # M <= 2^30, so each of A*q0, B*q1 and C*cross is below 2^60 and
-        # their sum is below 2^62
-        e = (A * q0[:, None] + B * q1[None, :] + C * cross) % M
-        e = e.ravel()
-    if M <= 4096:
-        counts = np.bincount(e, minlength=M)
-        roots = np.exp((2j * np.pi / M) * np.arange(M))
-        return complex(counts @ roots)
-    return complex(np.exp((2j * np.pi / M) * e).sum())
+    counts = Counter((A * y0 * y0 + B * y1 * y1 + C * y0 * y1) % M
+                     for y0 in range(r0) for y1 in range(r1))
+    weight = (n0 // r0) * (n1 // r1)
+    return weight * sum(n * cmath.exp(2j * cmath.pi * e / M) for e, n in counts.items())
 
 
 def gauss_sum(psi: AdditiveChar, a: FieldElement, level: int) -> complex:

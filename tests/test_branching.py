@@ -18,6 +18,7 @@ from kubota_meta.branching import (
     whittaker_datum_eval,
 )
 from kubota_meta.errors import (
+    FieldMismatch,
     MinusOneIsSquare,
     MinusOneNotSquare,
     NotACoset,
@@ -258,6 +259,15 @@ def test_nilpotent_validation():
         NilpotentSl2.from_entries(Q5, Q5.elt(1), Q5.zero(), Q5.zero(), Q5.elt(1))
     y = NilpotentSl2.from_entries(Q5, Q5.elt(1), Q5.elt(-1), Q5.elt(1), Q5.elt(-1))
     assert y.entries() == (Q5.elt(1), Q5.elt(-1), Q5.elt(1), Q5.elt(-1))
+    with pytest.raises(FieldMismatch):
+        NilpotentSl2(Q5, Q5.zero(), Q5.zero(), E5U.elt(3))
+    with pytest.raises(FieldMismatch):
+        NilpotentSl2.from_entries(Q5, Q7.zero(), Q7.elt(2), Q7.zero(), Q7.zero())
+    # unchecked, the unramified g gave a Q_5 entry with a sqrt(d) part
+    for g in (Mat2(E5U, E5U.one(), E5U.elt(0, 1), E5U.zero(), E5U.one()),
+              Mat2.diag(Q7.elt(2), Q7.one())):
+        with pytest.raises(FieldMismatch):
+            NilpotentSl2.lower(Q5.elt(3)).conjugate_by(g)
 
 
 def test_reference_point_and_its_invariant():

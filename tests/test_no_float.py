@@ -2,10 +2,12 @@
 
 The AST of every module in ``kubota_meta`` is walked for float and complex
 literals, the names ``float`` and ``complex``, and imports of ``cmath`` and
-``numpy``.  Each hit must sit in an allowlisted scope: the numerical Gauss
-sums that cross-check the Weil-index table and the wall-clock timings of
-the suites.  An allowlist entry that
-no longer matches anything fails too, so the list shrinks with the code.
+``numpy``.  Each hit must be one of the tokens allowlisted for its scope:
+``cmath`` and complex values in the numerical Gauss sums that cross-check
+the Weil-index table, and floats in the wall-clock timings of the suites.
+No scope allows ``numpy``, so importing it anywhere in the package fails.
+An allowlist entry that no longer matches anything fails too, so the list
+shrinks with the code.
 """
 
 import ast
@@ -15,11 +17,11 @@ import kubota_meta
 
 PACKAGE = Path(kubota_meta.__file__).parent
 
-# scope -> the tokens allowed in it (None: any)
+# scope -> the tokens allowed in it
 ALLOWLIST = {
-    "weil._char_sum": None,
-    "weil.gauss_sum": None,
-    "weil.SNAP_TOLERANCE": None,
+    "weil._char_sum": {"cmath", "complex", "2j"},
+    "weil.gauss_sum": {"complex"},
+    "weil.SNAP_TOLERANCE": {"1e-09"},
     "suites.CheckResult.elapsed_ms": {"float"},
     "suites.run_suite": {"1000.0"},
 }
@@ -77,7 +79,7 @@ def _allowed_by(scope: str, token: str):
     parts = scope.split(".")
     for i in range(len(parts), 0, -1):
         key = ".".join(parts[:i])
-        if key in ALLOWLIST and (ALLOWLIST[key] is None or token in ALLOWLIST[key]):
+        if token in ALLOWLIST.get(key, ()):
             return key
     return None
 
@@ -110,3 +112,4 @@ def test_guard_sees_each_kind_of_float_use():
                       ("m.f.y", "1j"), ("m.f", "float"), ("m.f", "complex")}
     assert _allowed_by("weil.gauss_sum.s0", "complex") == "weil.gauss_sum"
     assert _allowed_by("suites.run_suite", "2.0") is None
+    assert _allowed_by("weil._char_sum", "numpy") is None
