@@ -1,22 +1,20 @@
 """Finite branching combinatorics for the cover of SL2.
 
 An irreducible genuine representation enters only through finite data: its
-self-twist subgroup S inside E*/E*^2, a discreteness flag, and a Whittaker
-support set.  Everything here is counting in the Klein four-group of square
-classes against the pairing with -1, plus the small nilpotent-orbit
-arithmetic that matches orbits with Whittaker data.
+self-twist subgroup S inside E*/E*^2 and a discreteness flag.  Everything
+here is counting in the Klein four-group of square classes against the
+pairing with -1, plus the small nilpotent-orbit arithmetic that matches
+orbits with Whittaker data.
 """
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 from .errors import (
     FieldMismatch,
     MinusOneIsSquare,
     MinusOneNotSquare,
-    NoComplement,
     NotACoset,
     NotDiscrete,
     NotNilpotent,
@@ -50,44 +48,30 @@ def _pairs_minus_one(cls: SquareClass) -> Sign:
 class TauTwistModel:
     """Symbolic model of an irreducible genuine SL2-cover representation.
 
-    S is the self-twist subgroup; ``discrete`` flags discrete series;
-    ``whittaker_support`` lists the classes a with a nonzero psi_a
-    functional.  Validation enforces what the structure theory forces:
-    S must be a subgroup, the support is nonempty, and a principal-series
-    representation with nontrivial self-twists must have all of them
-    orthogonal to -1.
+    S is the self-twist subgroup; ``discrete`` flags discrete series.
+    Validation enforces what the structure theory forces: S must be a
+    subgroup, and a principal-series representation with nontrivial
+    self-twists must have all of them orthogonal to -1.
     """
 
     field: LocalField
     S: frozenset
     discrete: bool
-    whittaker_support: frozenset = dc_field(default=None)
 
     def __post_init__(self):
         S = frozenset(self.S)
         object.__setattr__(self, "S", S)
-        identity = SquareClass(self.field, 0)
-        if identity not in S:
+        if SquareClass(self.field, 0) not in S:
             raise ValueError("self-twist set must contain the identity class")
         for a in S:
             for b in S:
                 if a * b not in S:
                     raise ValueError("self-twist set must be a subgroup")
-        support = self.whittaker_support
-        support = frozenset(support) if support is not None else frozenset({identity})
-        object.__setattr__(self, "whittaker_support", support)
-        if not support:
-            raise ValueError("Whittaker support cannot be empty")
         if not self.discrete and len(S) > 1:
             if any(_pairs_minus_one(a) == -1 for a in S):
                 raise ValueError(
                     "principal-series self-twists must pair trivially with -1"
                 )
-        if self.discrete and len(support) == 4:
-            warnings.warn(
-                "discrete models are expected to have proper Whittaker support",
-                stacklevel=2,
-            )
 
 
 def multiplicity(model: TauTwistModel) -> int:
@@ -135,7 +119,8 @@ def complementary_support(support, field: LocalField) -> SquareClass:
     Requires -1 to be a square and the support to be a 2-element set (any
     such set is a coset of an order-2 subgroup in a Klein four-group).
     Returns the first canonical representative that moves the support off
-    itself, i.e. the first one outside the coset's stabilizer subgroup.
+    itself, i.e. the first one outside the coset's stabilizer subgroup; b*x
+    and b*y then both miss {x, y}, so the two sets partition the classes.
     """
     if not field.minus_one_is_square:
         raise MinusOneNotSquare("partition statement needs -1 to be a square")
@@ -144,11 +129,7 @@ def complementary_support(support, field: LocalField) -> SquareClass:
         raise NotACoset(f"support of size {len(support)} is not a proper coset")
     x, y = sorted(support, key=lambda c: c.key)
     stabilizer = {SquareClass(field, 0), x * y}
-    b = next(r for r in square_class_reps(field) if r not in stabilizer)
-    shifted = frozenset(b * s for s in support)
-    if shifted & support or len(shifted | support) != 4:
-        raise NoComplement("coset shift failed to partition the classes")
-    return b
+    return next(r for r in square_class_reps(field) if r not in stabilizer)
 
 
 def epsilon_sign_chain(field: LocalField, b: SquareClass, seed: Sign = 1) -> dict:
@@ -234,11 +215,7 @@ def orbit_invariant(Y: NilpotentSl2) -> SquareClass:
     vanishes; both cannot vanish for a nonzero nilpotent (the diagonal
     would then be forced to zero too).
     """
-    if Y.e21:
-        return square_class(Y.e21)
-    if Y.e12:
-        return square_class(-Y.e12)
-    raise ZeroMatrix("unreachable: validated nilpotents have a corner entry")
+    return square_class(Y.e21 if Y.e21 else -Y.e12)
 
 
 def whittaker_datum_eval(a: FieldElement, x: FieldElement,

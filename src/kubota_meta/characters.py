@@ -1,9 +1,9 @@
 """Square-class combinatorics: quadratic characters, central-character
 torsors, and the index formulas comparing E* with F* E*^2.
 
-A genuine character of the cover's center is pinned down by what it does on
-squares (an opaque tag here) together with a quadratic twist, so the set of
-characters over a fixed tag is a 4-element torsor under E*/E*^2.
+A genuine character of the cover's center is pinned down, once its values on
+squares are fixed, by a quadratic twist, so the set of such characters is a
+4-element torsor under E*/E*^2.
 """
 
 from __future__ import annotations
@@ -24,9 +24,8 @@ from .local_field import (
 
 @dataclass(frozen=True)
 class GenuineZCharacter:
-    """A genuine central character: restriction tag plus quadratic twist."""
+    """A genuine central character, given by its quadratic twist."""
 
-    central_tag: str
     twist: SquareClass
 
 
@@ -41,17 +40,17 @@ def chi_a_eval(a: FieldElement, x: FieldElement) -> Sign:
     return hilbert(a, x)
 
 
-def omega_of(field: LocalField, tag: str = "omega") -> tuple:
-    """The torsor of genuine characters over a fixed central tag, one per
-    square class in canonical order."""
-    return tuple(GenuineZCharacter(tag, c) for c in square_class_reps(field))
+def omega_of(field: LocalField) -> tuple:
+    """The torsor of genuine central characters, one per square class in
+    canonical order."""
+    return tuple(GenuineZCharacter(c) for c in square_class_reps(field))
 
 
 def conjugate_char(mu: GenuineZCharacter, a: FieldElement) -> GenuineZCharacter:
     """Conjugation twist mu -> mu^a; multiplies the twist by class(a)."""
     if a.is_zero():
         raise ZeroElement("cannot twist by zero")
-    return GenuineZCharacter(mu.central_tag, mu.twist * square_class(a))
+    return GenuineZCharacter(mu.twist * square_class(a))
 
 
 def f_image_classes(E: LocalField) -> tuple:
@@ -77,9 +76,8 @@ def count_agreeing_extensions(E: LocalField) -> int:
     """Number of classes pairing trivially with every base-field element.
 
     Counts a in E*/E*^2 with (a, f) = +1 for all four base-field class
-    representatives f; this is the number of genuine characters over a
-    fixed tag that agree with a given character on F*, and it equals
-    index_FEsq(E).
+    representatives f; this is the number of genuine central characters
+    that agree with a given character on F*, and it equals index_FEsq(E).
     """
     if not E.is_extension:
         raise BaseFieldInput("agreement count needs a quadratic extension")

@@ -30,10 +30,6 @@ class FieldMismatch(KubotaMetaError):
     """Operands belong to different fields."""
 
 
-class BaseFieldHasNoProperNorm(KubotaMetaError):
-    """Norm down to the base field requested for a base-field element."""
-
-
 class BaseFieldInput(KubotaMetaError):
     """A quadratic extension is required; a base field was supplied."""
 
@@ -56,10 +52,6 @@ class NotDiscrete(KubotaMetaError):
 
 class NotACoset(KubotaMetaError):
     """Support set is not a coset of an order-2 subgroup of the class group."""
-
-
-class NoComplement(KubotaMetaError):
-    """No complementary coset exists (unreachable for valid input)."""
 
 
 class MinusOneNotSquare(KubotaMetaError):

@@ -31,7 +31,7 @@ from functools import cached_property
 from math import gcd, lcm
 
 from .errors import (
-    BaseFieldHasNoProperNorm,
+    BaseFieldInput,
     DIsSquare,
     EvenResidueCharUnsupported,
     FieldMismatch,
@@ -739,7 +739,7 @@ def norm(x: FieldElement) -> FieldElement:
     """Norm down to the base field: N(a + b*sqrt(d)) = a^2 - d b^2."""
     f = x.field
     if not f.is_extension:
-        raise BaseFieldHasNoProperNorm("norm requires a quadratic extension")
+        raise BaseFieldInput("norm requires a quadratic extension")
     # N((A + B sqrt d) / D) = dd (A^2 - d B^2) / (dd D^2)
     n = _mul(f, x._A, x._B, x._A, -x._B)[0]
     return _reduced(f.base(), n, 0, f._d_den * x._D * x._D)
@@ -749,7 +749,7 @@ def trace(x: FieldElement) -> FieldElement:
     """Trace down to the base field: Tr(a + b*sqrt(d)) = 2a."""
     f = x.field
     if not f.is_extension:
-        raise BaseFieldHasNoProperNorm("trace requires a quadratic extension")
+        raise BaseFieldInput("trace requires a quadratic extension")
     return _reduced(f.base(), 2 * x._A, 0, x._D)
 
 

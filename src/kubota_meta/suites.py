@@ -14,8 +14,7 @@ it returns None when the law holds and a witness string when it fails.
 Register it with `@_check()` for a randomized check, called `trials` times
 with the check's own `SplitMix64` as `case`; or with `@_check(cases=f)` for
 an exhaustive one, called once per element of `f(run)`.  Pass
-`extension_only=True` to leave it out on base fields.  A new suite also
-needs its name in `SUITE_NAMES`.
+`extension_only=True` to leave it out on base fields.
 """
 
 from __future__ import annotations
@@ -86,8 +85,6 @@ from .weil import (
     standard_char,
     weil_index,
 )
-
-SUITE_NAMES = ("cocycle", "split", "hilbert", "omega", "weil", "packets")
 
 MAX_WITNESSES = 3
 
@@ -703,6 +700,9 @@ def _packets_orbit_bijection(run, _):
 
 # ---------------------------------------------------------------------------
 # dispatch
+
+# every suite with a registered check, in order of first registration
+SUITE_NAMES = tuple(dict.fromkeys(check.suite for check in CHECKS))
 
 
 def run_suite(config: RunConfig, suite: str) -> Report:

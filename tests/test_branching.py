@@ -82,17 +82,6 @@ def test_principal_series_self_twists_must_avoid_minus_one():
     TauTwistModel(Q5, frozenset(square_class_reps(Q5)), False)
 
 
-def test_whittaker_support_rules():
-    m = TauTwistModel(Q5, frozenset({cls(Q5, 0)}), True)
-    assert m.whittaker_support == frozenset({cls(Q5, 0)})
-    with pytest.raises(ValueError):
-        TauTwistModel(Q5, frozenset({cls(Q5, 0)}), True,
-                      whittaker_support=frozenset())
-    with pytest.warns(UserWarning):
-        TauTwistModel(Q5, frozenset({cls(Q5, 0)}), True,
-                      whittaker_support=frozenset(square_class_reps(Q5)))
-
-
 # ---------------------------------------------------------------------------
 # multiplicities and packet products
 
@@ -166,8 +155,7 @@ def test_waldspurger_involution_flags():
             TauTwistModel(Q3, frozenset({cls(Q3, 0)}), False),
             cls(Q3, 0))
     # -1 a square: the involution never moves anything
-    m5 = TauTwistModel(Q5, frozenset(square_class_reps(Q5)), True,
-                       whittaker_support=frozenset({cls(Q5, 0)}))
+    m5 = TauTwistModel(Q5, frozenset(square_class_reps(Q5)), True)
     for a in square_class_reps(Q5):
         assert not is_waldspurger_conjugate(m5, a)
 

@@ -47,17 +47,15 @@ def test_square_class_group_is_klein_four():
 
 def test_omega_is_a_four_element_torsor():
     om = omega_of(Q5)
-    assert om == tuple(GenuineZCharacter("omega", c) for c in square_class_reps(Q5))
+    assert om == tuple(GenuineZCharacter(c) for c in square_class_reps(Q5))
     assert len(om) == 4
     assert len(set(om)) == 4
-    assert {mu.central_tag for mu in om} == {"omega"}
     assert {mu.twist for mu in om} == set(square_class_reps(Q5))
-    assert GenuineZCharacter("omega", square_class_reps(Q5)[2]) in om
-    assert GenuineZCharacter("other", square_class_reps(Q5)[2]) not in om
+    assert GenuineZCharacter(square_class_reps(Q5)[2]) in om
 
 
 def test_conjugation_action_on_the_torsor():
-    om = omega_of(E5R, tag="w")
+    om = omega_of(E5R)
     for mu in om:
         # squares act trivially, and that is the only trivial action
         assert conjugate_char(mu, E5R.elt(4)) == mu

@@ -134,6 +134,12 @@ def test_run_config_validation():
 def test_run_suite_name_guard():
     with pytest.raises(ValueError):
         run_suite(RunConfig("Qp(5)", trials=2), "frobenius")
+    # the names come from the check registry, in order of first registration
+    with pytest.raises(ValueError) as exc:
+        run_suite(RunConfig("Qp(5)"), "nope")
+    assert str(exc.value) == (
+        "unknown suite 'nope'; expected one of "
+        "('cocycle', 'split', 'hilbert', 'omega', 'weil', 'packets', 'all')")
 
 
 def test_report_shape_and_determinism():

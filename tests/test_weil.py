@@ -46,6 +46,7 @@ from oracles import (
     psi_exponent,
     residue_squares,
     root_value,
+    unit_residue,
     weil_index_classical,
 )
 
@@ -385,7 +386,7 @@ def test_index_past_the_grid_limit(field):
     units = [field.elt(n) for n in range(2, 12)]
     if field.kind == "unram":
         units += [field.elt(m, 1) for m in range(6)]
-        squares = residue_squares(field.p, field.dbar)
+        squares = residue_squares(field.p, unit_residue(field.d, field.p))
     for u in units:
         r = unit_part(u)
         if field.kind == "unram":
