@@ -169,7 +169,8 @@ class NilpotentSl2:
     def __init__(self, field: LocalField, e11: FieldElement, e12: FieldElement,
                  e21: FieldElement):
         for entry in (e11, e12, e21):
-            if not isinstance(entry, FieldElement) or entry.field != field:
+            if not isinstance(entry, FieldElement) or (
+                    entry.field is not field and entry.field != field):
                 raise FieldMismatch("nilpotent entries must lie in the given field")
         self.field = field
         self.e11, self.e12, self.e21 = e11, e12, e21

@@ -45,7 +45,7 @@ def pair_class_keys(field: LocalField, kx: int, ky: int) -> Sign:
 
 def hilbert(x: FieldElement, y: FieldElement) -> Sign:
     """Quadratic Hilbert symbol (x, y); bilinear, symmetric, +-1 valued."""
-    if x.field != y.field:
+    if x.field is not y.field and x.field != y.field:
         raise FieldMismatch("Hilbert symbol needs both arguments in one field")
     return pair_class_keys(x.field, class_key(x), class_key(y))
 

@@ -23,23 +23,28 @@ followed by one gcd over all nine, which leaves the nine coprime; that
 form is canonical, so equality and hashing compare the tuple.  The pairs
 (A_x, B_x) are multiplied and divided by ``local_field._mul`` and
 ``_divide``; only ``_product``, the inner loop of a long fold, writes its
-pair products out.  Once a
-factor's denominator passes SEED_GATE, a product's gcd starts from
-``_content_bound`` of the factor with the smaller denominator, a small
-multiple of the content: each big int then costs one division by that
-seed in place of a big-by-big gcd, and the gcd is the same.  The entries
-``.a`` ... ``.d`` and ``.det`` are read back as reduced FieldElements
-only at the API boundary.
+pair products out, and it multiplies by the denominator dd of d only when
+dd > 1.  Once a factor's denominator passes SEED_GATE, a product's gcd
+starts from ``_content_bound`` of the factor with the smaller
+denominator, a small multiple of the content: each big int then costs one
+division by that seed in place of a big-by-big gcd, and the gcd is the
+same.  The entries ``.a`` ... ``.d`` and ``.det`` are read back as
+reduced FieldElements only at the API boundary.
 
 Square-class keys come from the ints as stored: the key of c is the key
 of the triple (A_c, B_c, D), which does not change if the three are
 scaled by one factor, and det = (ad - bc) has the key of its numerator
 over the denominator of d, since D^2 is a square.  A product's det key is
-the XOR of its factors' keys.  p(g1 g2) = p(g1)^(det g2) p(g2) holds
-identically, so all three x-values needed by beta can be read off the
-entries of g1, g2 and their product, and each Hilbert symbol consumes
-only square-class keys.  That turns a cocycle check into three integer
-matrix products plus parity arithmetic.
+the XOR of its factors' keys.  Past SEED_GATE a product also carries the
+key of its denominator D E dd / g: the XOR of the factors' memoized
+keys of D and E, the field's cached key of dd and the key of the content
+g.  The key of c = (A_c + B_c sqrt(d)) / D is then the key of A_c + B_c
+sqrt(d) XOR that of D, so ``x_key`` never strips the p-power out of a
+thousand-bit D, whose valuation reaches past a hundred in a long fold.
+p(g1 g2) = p(g1)^(det g2) p(g2) holds identically, so all three x-values
+needed by beta can be read off the entries of g1, g2 and their product,
+and each Hilbert symbol consumes only square-class keys.  That turns a
+cocycle check into three integer matrix products plus parity arithmetic.
 """
 
 from __future__ import annotations
@@ -89,12 +94,25 @@ def _entry(i: int) -> property:
 def _product(f: LocalField, x: tuple, y: tuple) -> tuple:
     """The nine ints of the 2x2 product x y, not reduced.
 
-    Entry by entry this is ``_mul`` summed over the inner index; the
-    denominator gains the factor dd that keeps the sqrt(d)^2 terms integral.
+    Entry by entry this is ``_mul`` summed over the inner index; for d =
+    dn/dd with dd > 1 the denominator gains the factor dd that keeps the
+    sqrt(d)^2 terms integral.
     """
     a0, a1, b0, b1, c0, c1, d0, d1, D = x
     e0, e1, f0, f1, g0, g1, h0, h1, E = y
     dd, dn = f._d_den, f._d_num
+    if dd == 1:
+        return (
+            a0 * e0 + b0 * g0 + dn * (a1 * e1 + b1 * g1),
+            a0 * e1 + a1 * e0 + b0 * g1 + b1 * g0,
+            a0 * f0 + b0 * h0 + dn * (a1 * f1 + b1 * h1),
+            a0 * f1 + a1 * f0 + b0 * h1 + b1 * h0,
+            c0 * e0 + d0 * g0 + dn * (c1 * e1 + d1 * g1),
+            c0 * e1 + c1 * e0 + d0 * g1 + d1 * g0,
+            c0 * f0 + d0 * h0 + dn * (c1 * f1 + d1 * h1),
+            c0 * f1 + c1 * f0 + d0 * h1 + d1 * h0,
+            D * E,
+        )
     return (
         dd * (a0 * e0 + b0 * g0) + dn * (a1 * e1 + b1 * g1),
         dd * (a0 * e1 + a1 * e0 + b0 * g1 + b1 * g0),
@@ -119,26 +137,33 @@ def _det_ints(f: LocalField, q: tuple) -> tuple:
 _new_matrix = object.__new__
 
 
-def _mat2(f: LocalField, q: tuple, kdet, seed: int = 0) -> "Mat2":
+def _mat2(f: LocalField, q: tuple, kdet, seed: int = 0, kden=None) -> "Mat2":
     """The matrix of nine ints q (q[8] > 0) reduced by their content, with
     det key ``kdet`` (None: computed when asked).  The one constructor of
     products, inverses and displayed maps; it skips the singular check.
     ``seed`` is 0 (none) or a multiple of the content, which leaves the
-    gcd as it is and makes it cheap when small."""
+    gcd as it is and makes it cheap when small.  ``kden`` is None or the
+    class key of q[8] as given; it is carried past the content g."""
     g = gcd(seed, *q) if seed else gcd(*q)
     if g != 1:
         q = tuple([n // g for n in q])
+        if kden is not None:
+            # q[8] / g has the key of q[8] times g, keys being 2-torsion
+            kden ^= _class_key(f, g, 0, 1)
     m = _new_matrix(Mat2)
     m.field = f
     m._q = q
     m._kdet = kdet
     m._kx = None
     m._bound = None
+    m._kden = kden
     return m
 
 
-# a product seeds its content gcd only once a factor's denominator is wider
-# than a machine word; below that the plain gcd is cheap already
+# once a factor's denominator is wider than a machine word, a product
+# seeds its content gcd and carries its denominator's class key, so that
+# x_key strips only the entry's numerator; below the gate the plain gcd
+# and the one strip of D are cheap already
 SEED_GATE = 1 << 64
 
 
@@ -171,10 +196,11 @@ class Mat2:
     A_c, B_c, A_d, B_d, D)`` with D > 0.  The entries and the determinant
     read back as reduced FieldElements.  Square-class keys of the
     determinant and of the x-entry (c, or d when c = 0) are memoized on the
-    instance; cocycle evaluation reads only those.
+    instance, and so is the key of D once a product past SEED_GATE carries
+    it; cocycle evaluation reads only those.
     """
 
-    __slots__ = ("field", "_q", "_kdet", "_kx", "_bound")
+    __slots__ = ("field", "_q", "_kdet", "_kx", "_bound", "_kden")
 
     def __init__(self, field: LocalField, a, b, c, d):
         for entry in (a, b, c, d):
@@ -188,6 +214,7 @@ class Mat2:
         self._kdet = None
         self._kx = None
         self._bound = None
+        self._kden = None
 
     @classmethod
     def identity(cls, field: LocalField) -> "Mat2":
@@ -212,11 +239,14 @@ class Mat2:
             raise FieldMismatch("matrix product across different fields")
         x, y = self._q, other._q
         D, E = x[8], y[8]
-        # the factor with the smaller denominator gives the smaller seed
-        seed = 0 if D < SEED_GATE and E < SEED_GATE else _content_bound(
-            self if D <= E else other)
         # det key of a product is free once the factors are keyed
-        return _mat2(f, _product(f, x, y), self.det_key() ^ other.det_key(), seed)
+        kdet = self.det_key() ^ other.det_key()
+        if D < SEED_GATE and E < SEED_GATE:
+            return _mat2(f, _product(f, x, y), kdet)
+        # the factor with the smaller denominator gives the smaller seed,
+        # and the denominator D E dd has the key of its three factors
+        return _mat2(f, _product(f, x, y), kdet, _content_bound(self if D <= E else other),
+                     self._den_key() ^ other._den_key() ^ f._d_den_key)
 
     def inverse(self) -> "Mat2":
         """The adjugate divided by the determinant."""
@@ -241,8 +271,19 @@ class Mat2:
         if self._kx is None:
             q = self._q
             i = 4 if q[4] or q[5] else 6
-            self._kx = _class_key(self.field, q[i], q[i + 1], q[8])
+            kden = self._kden
+            if kden is None:
+                self._kx = _class_key(self.field, q[i], q[i + 1], q[8])
+            else:
+                # x = (A + B sqrt d) / D: with D keyed, only A + B sqrt d
+                self._kx = _class_key(self.field, q[i], q[i + 1], 1) ^ kden
         return self._kx
+
+    def _den_key(self) -> int:
+        """Square-class key of the denominator D, memoized."""
+        if self._kden is None:
+            self._kden = _class_key(self.field, self._q[8], 0, 1)
+        return self._kden
 
     def entries(self) -> tuple:
         return _elements(self.field, self._q)
@@ -286,7 +327,7 @@ def beta(g1: Mat2, g2: Mat2) -> Sign:
     x(g1 g2)) of the module docstring; on pairs of upper-triangular
     matrices it collapses to the symbol (a1, d2) of the diagonal entries.
     """
-    if g1.field != g2.field:
+    if g1.field is not g2.field and g1.field != g2.field:
         raise FieldMismatch("cocycle arguments must share a field")
     return _beta(g1, g2, g1 @ g2)
 

@@ -181,6 +181,11 @@ class LocalField:
         return self.d.denominator
 
     @cached_property
+    def _d_den_key(self) -> int:
+        """Class key of dd = ``_d_den``, a factor of a product's denominator."""
+        return _class_key(self, self._d_den, 0, 1)
+
+    @cached_property
     def _digit(self) -> tuple:
         """:func:`_digit_power` of p, the chunk valuations strip by."""
         return _digit_power(self.p)
@@ -714,7 +719,7 @@ class SquareClass:
         return format_element(self.rep)
 
     def __mul__(self, other: "SquareClass") -> "SquareClass":
-        if self.field != other.field:
+        if self.field is not other.field and self.field != other.field:
             raise FieldMismatch("square classes of different fields")
         return SquareClass(self.field, self.key ^ other.key)
 
@@ -755,7 +760,7 @@ def trace(x: FieldElement) -> FieldElement:
 
 def embed_base(f_elt: FieldElement, E: LocalField) -> FieldElement:
     """Inclusion of the base field F into E, f -> f + 0*sqrt(d)."""
-    if f_elt.field == E:
+    if f_elt.field is E or f_elt.field == E:
         return f_elt
     if f_elt.field != E.base():
         raise FieldMismatch(

@@ -148,7 +148,7 @@ class AdditiveChar:
     scale: FieldElement
 
     def __post_init__(self):
-        if self.scale.field != self.field:
+        if self.scale.field is not self.field and self.scale.field != self.field:
             raise FieldMismatch("character scale must lie in the field")
         if self.scale.is_zero():
             raise ZeroElement("character scale must be nonzero")
@@ -170,7 +170,7 @@ def psi_eval(psi: AdditiveChar, x: FieldElement) -> RootOfUnity:
     (the trace) or 2B (ramified: Tr(c / sqrt(d))); with D = p^m u, u prime
     to p, the p-power fractional part of n / D is (n / u mod p^m) / p^m.
     """
-    if x.field != psi.field:
+    if x.field is not psi.field and x.field != psi.field:
         raise FieldMismatch("argument lies in a different field")
     c = psi.scale * x
     f = psi.field
@@ -240,7 +240,7 @@ def gauss_sum(psi: AdditiveChar, a: FieldElement, level: int) -> complex:
     """
     if level < 1:
         raise LevelTooSmall("level must be at least 1")
-    if a.field != psi.field:
+    if a.field is not psi.field and a.field != psi.field:
         raise FieldMismatch("argument lies in a different field")
     s0 = _char_sum(psi, a, level)
     s1 = _char_sum(psi, a, level + 1)
@@ -279,7 +279,7 @@ def weil_index(a: FieldElement, psi: AdditiveChar) -> RootOfUnity:
     """
     if a.is_zero():
         raise ZeroElement("index of the zero form is undefined")
-    if a.field != psi.field:
+    if a.field is not psi.field and a.field != psi.field:
         raise FieldMismatch("argument lies in a different field")
     key = class_key(a)
     eighths = _class_eighths(psi.field)[key]

@@ -466,3 +466,25 @@ def test_seeded_product_gcd_matches_the_plain_reduction(field):
         content = gcd(*q)
         assert _content_bound(x) % content == 0
         assert _content_bound(y) % content == 0
+
+
+@pytest.mark.parametrize("field", ORACLE_FIELDS, ids=lambda f: f.spec_string())
+def test_products_past_the_gate_carry_their_denominator_key(field):
+    # a product with a factor past the gate keys its denominator D E dd / g
+    # from its factors' keys, the key of dd and the key of the content g;
+    # the fold alternates sides, so the big factor is on the left and right
+    rng = SplitMix64(7)
+    m = rand_mat2(rng, field, 50)
+    carried = p_in_content = 0
+    for step in range(80):
+        x, y = (m, rand_mat2(rng, field, 50))[::1 if step % 2 else -1]
+        content = gcd(*_product(field, x._q, y._q))
+        past_gate = max(x._q[8], y._q[8]) >= SEED_GATE
+        m = x @ y
+        if past_gate:
+            carried += 1
+            p_in_content += content % field.p == 0
+            assert m._kden == class_key(FieldElement.from_ints(field, m._q[8], 0, 1))
+        c, d = m.c, m.d
+        assert m.x_key() == class_key(c if c else d)
+    assert carried > 40 and p_in_content

@@ -1,6 +1,7 @@
-"""tools/ab_battery.py times the battery under two trees in one process;
-tools/bench_record.py pairs the benchmark runs of two checkouts; the
-benchmark in perfbench/ still finds every package name it uses."""
+"""tools/ab_battery.py times the battery and tools/ab_folds.py long cover
+folds under two trees in one process; tools/bench_record.py pairs the
+benchmark runs of two checkouts; the benchmark in perfbench/ still finds
+every package name it uses."""
 
 import importlib.util
 import json
@@ -42,6 +43,39 @@ def test_ab_battery_fails_when_reports_differ(tmp_path):
 
 def test_ab_battery_refuses_a_tree_without_the_package(tmp_path):
     proc = ab_battery(SRC, tmp_path)
+    assert proc.returncode == 2
+    assert "no kubota_meta package" in proc.stderr
+
+
+def ab_folds(*args):
+    return subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "ab_folds.py"), *map(str, args),
+         "--rounds", "2"],
+        capture_output=True, text=True, timeout=120)
+
+
+def test_ab_folds_times_two_trees_with_equal_folds():
+    proc = ab_folds(SRC, SRC / "kubota_meta")
+    assert proc.returncode == 0, proc.stderr
+    assert "total-time ratio old/new" in proc.stdout
+    assert "per-round ratio quartiles" in proc.stdout
+
+
+def test_ab_folds_fails_when_folds_differ(tmp_path):
+    broken = tmp_path / "kubota_meta"
+    shutil.copytree(SRC / "kubota_meta", broken,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    # every cocycle value flips, so a fold of 128 matrices flips its sign
+    with open(broken / "kubota.py", "a") as f:
+        f.write("\n_kept_beta = _beta\n"
+                "def _beta(g1, g2, h):\n    return -_kept_beta(g1, g2, h)\n")
+    proc = ab_folds(SRC, tmp_path)
+    assert proc.returncode == 1
+    assert "folds differ: Qp(3)" in proc.stderr
+
+
+def test_ab_folds_refuses_a_tree_without_the_package(tmp_path):
+    proc = ab_folds(SRC, tmp_path)
     assert proc.returncode == 2
     assert "no kubota_meta package" in proc.stderr
 
