@@ -169,8 +169,7 @@ class NilpotentSl2:
     def __init__(self, field: LocalField, e11: FieldElement, e12: FieldElement,
                  e21: FieldElement):
         for entry in (e11, e12, e21):
-            if not isinstance(entry, FieldElement) or (
-                    entry.field is not field and entry.field != field):
+            if not isinstance(entry, FieldElement) or entry.field is not field:
                 raise FieldMismatch("nilpotent entries must lie in the given field")
         self.field = field
         self.e11, self.e12, self.e21 = e11, e12, e21
@@ -198,7 +197,7 @@ class NilpotentSl2:
     def conjugate_by(self, g: Mat2) -> "NilpotentSl2":
         """g Y g^-1, as products of nine-int matrices."""
         f = self.field
-        if g.field is not f and g.field != f:
+        if g.field is not f:
             raise FieldMismatch("conjugation across different fields")
         y = _common([(x._A, x._B, x._D) for x in self.entries()])
         q = _product(f, _product(f, g._q, y), g.inverse()._q)

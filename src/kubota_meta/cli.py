@@ -155,13 +155,13 @@ def _check_rows(reports: list, timings: bool, by_field: bool = False) -> list:
     return rows
 
 
-def _report_text(report: Report) -> list:
+def _report_text(report: Report, timings: bool) -> list:
     cfg = report.config
     lines = [f"{report.command}  field={cfg.field_spec} seed={cfg.seed} "
              f"trials={cfg.trials} height={cfg.height}"]
     for c in report.checks:
         status = "PASS" if c.passed else "FAIL"
-        suffix = f"  [{c.elapsed_ms:.1f} ms]" if cfg.timings else ""
+        suffix = f"  [{c.elapsed_ms:.1f} ms]" if timings else ""
         lines.append(f"  {status}  {c.name}  trials={c.trials} failures={c.failures}{suffix}")
         lines += [f"        witness: {w}" for w in c.witnesses]
     lines.append(f"overall: {'PASS' if report.passed else 'FAIL'}")
@@ -175,7 +175,7 @@ def _report_text(report: Report) -> list:
 def _config(args, field_spec=None) -> RunConfig:
     seed = args.seed if args.seed is not None else _default_seed()
     given = {k: getattr(args, k) for k in ("trials", "height") if getattr(args, k) is not None}
-    return RunConfig(field_spec or args.field, seed=seed, timings=args.timings, **given)
+    return RunConfig(field_spec or args.field, seed=seed, **given)
 
 
 def _refuse_suite_flags(args) -> None:
@@ -188,8 +188,8 @@ def _refuse_suite_flags(args) -> None:
 
 def _suite(args, suite: str) -> tuple:
     report = run_suite(_config(args), suite)
-    return (report.passed, report.to_dict(), _check_rows([report], args.timings),
-            _report_text(report))
+    return (report.passed, report.to_dict(args.timings),
+            _check_rows([report], args.timings), _report_text(report, args.timings))
 
 
 def _cmd_hilbert(args) -> tuple:
@@ -284,8 +284,8 @@ def _cmd_selftest_all(args) -> tuple:
     ok = all(r.passed for r in reports)
     doc = {"schema": 1, "command": "selftest-all",
            "config": {"trials": config.trials, "seed": config.seed, "height": config.height},
-           "reports": [r.to_dict() for r in reports], "pass": ok}
-    text = [line for r in reports for line in _report_text(r)]
+           "reports": [r.to_dict(args.timings) for r in reports], "pass": ok}
+    text = [line for r in reports for line in _report_text(r, args.timings)]
     text.append(f"selftest-all: {'PASS' if ok else 'FAIL'}")
     return ok, doc, _check_rows(reports, args.timings, by_field=True), text
 

@@ -45,7 +45,7 @@ def pair_class_keys(field: LocalField, kx: int, ky: int) -> Sign:
 
 def hilbert(x: FieldElement, y: FieldElement) -> Sign:
     """Quadratic Hilbert symbol (x, y); bilinear, symmetric, +-1 valued."""
-    if x.field is not y.field and x.field != y.field:
+    if x.field is not y.field:
         raise FieldMismatch("Hilbert symbol needs both arguments in one field")
     return pair_class_keys(x.field, class_key(x), class_key(y))
 
@@ -57,7 +57,7 @@ def hilbert_via_norm(a: FieldElement, b: FieldElement) -> Sign:
     self-test suites; this function always takes the norm route.
     """
     E = b.field
-    if a.field != E.base():
+    if a.field is not E.base():
         raise FieldMismatch("first argument must lie in the base field")
     return hilbert(a, norm(b))
 

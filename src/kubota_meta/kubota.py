@@ -204,8 +204,7 @@ class Mat2:
 
     def __init__(self, field: LocalField, a, b, c, d):
         for entry in (a, b, c, d):
-            if not isinstance(entry, FieldElement) or (
-                    entry.field is not field and entry.field != field):
+            if not isinstance(entry, FieldElement) or entry.field is not field:
                 raise FieldMismatch("matrix entries must lie in the given field")
         self.field = field
         self._q = _common([(x._A, x._B, x._D) for x in (a, b, c, d)])
@@ -235,7 +234,7 @@ class Mat2:
 
     def __matmul__(self, other: "Mat2") -> "Mat2":
         f = self.field
-        if other.field is not f and other.field != f:
+        if other.field is not f:
             raise FieldMismatch("matrix product across different fields")
         x, y = self._q, other._q
         D, E = x[8], y[8]
@@ -294,7 +293,7 @@ class Mat2:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Mat2):
             return NotImplemented
-        return self.field == other.field and self._q == other._q
+        return self.field is other.field and self._q == other._q
 
     def __hash__(self):
         return hash((self.field, self._q))
@@ -327,7 +326,7 @@ def beta(g1: Mat2, g2: Mat2) -> Sign:
     x(g1 g2)) of the module docstring; on pairs of upper-triangular
     matrices it collapses to the symbol (a1, d2) of the diagonal entries.
     """
-    if g1.field is not g2.field and g1.field != g2.field:
+    if g1.field is not g2.field:
         raise FieldMismatch("cocycle arguments must share a field")
     return _beta(g1, g2, g1 @ g2)
 

@@ -139,12 +139,16 @@ def rational_mod(x, m: int) -> int:
 # fields
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LocalField:
     """Descriptor of Q_p or a quadratic extension Q_p(sqrt(d)), p odd.
 
-    Instances are immutable and hashable; construct through
-    :func:`make_field`, which validates and normalizes d.
+    There is one instance per field: build it with :func:`make_field` or
+    ``parse_field_spec``, which validate and normalize d and return the
+    same descriptor for the same field, so a field equals only itself and
+    "same field" is one ``is``.  The hash is by value all the same, over
+    (p, d), which fix the kind: sets of square classes then iterate in an
+    order that repeats from run to run, whatever ``PYTHONHASHSEED`` is.
     """
 
     p: int
@@ -195,12 +199,15 @@ class LocalField:
         """Residue of d/p mod p (ramified fields only): d = p * unit."""
         return rational_mod(self.d / self.p, self.p)
 
+    def __hash__(self):
+        return hash((self.p, self.d))
+
     @cached_property
     def _base(self) -> "LocalField":
-        return self if self.kind == "base" else LocalField(self.p, "base", Fraction(0))
+        return self if self.kind == "base" else _field(self.p, "base", Fraction(0))
 
     def base(self) -> "LocalField":
-        """The base field Q_p, one descriptor per field."""
+        """The base field Q_p: the descriptor ``make_field(p)`` returns."""
         return self._base
 
     # -- element constructors ------------------------------------------------
@@ -272,14 +279,28 @@ class LocalField:
         return f"LocalField({self.spec_string()})"
 
 
+# the interned descriptors; a plain dict, not a functools cache, which a
+# cache_clear() between two passes would split into two Q_5s
+_FIELDS: dict = {}
+
+
+def _field(p: int, kind: str, d: Fraction) -> LocalField:
+    """The one descriptor of the field (p, kind, d), d normalized."""
+    f = _FIELDS.get((p, kind, d))
+    if f is None:
+        f = _FIELDS[p, kind, d] = LocalField(p, kind, d)
+    return f
+
+
 def make_field(p: int, ext_spec="base") -> LocalField:
-    """Validate and build a field descriptor.
+    """Validate a field and return its one descriptor.
 
     ``ext_spec`` is ``"base"`` (or None) for Q_p, or a pair
     ``("unram", d)`` / ``("ram", d)`` with d an integer, Fraction, or
     string rational.  d is normalized: even powers of p are stripped, so a
     ramified d ends up with v_p(d) = 1 and an unramified d becomes a unit.
-    p must be an odd prime below PRIME_BOUND.
+    p must be an odd prime below PRIME_BOUND.  Specs that normalize to the
+    same (p, kind, d) give the same object.
     """
     if not isinstance(p, int) or not _is_prime(p):
         raise NotPrime(f"{p!r} is not a prime")
@@ -289,7 +310,7 @@ def make_field(p: int, ext_spec="base") -> LocalField:
         raise EvenResidueCharUnsupported("p = 2 is not supported")
 
     if ext_spec in (None, "base"):
-        return LocalField(p, "base", Fraction(0))
+        return _field(p, "base", Fraction(0))
     try:
         kind, d_raw = ext_spec
     except (TypeError, ValueError):
@@ -309,7 +330,7 @@ def make_field(p: int, ext_spec="base") -> LocalField:
         d = d * Fraction(p) ** (-v)
         if _is_qr(rational_mod(d, p), p):
             raise DIsSquare(f"d = {d} is a square in Q_{p}")
-        return LocalField(p, "unram", d)
+        return _field(p, "unram", d)
 
     if v % 2 == 0:
         unit = d * Fraction(p) ** (-v)
@@ -319,7 +340,7 @@ def make_field(p: int, ext_spec="base") -> LocalField:
             f"d = {d} has even p-valuation and describes an unramified extension"
         )
     d = d * Fraction(p) ** (-(v - 1))
-    return LocalField(p, "ram", d)
+    return _field(p, "ram", d)
 
 
 # ---------------------------------------------------------------------------
@@ -376,7 +397,7 @@ class FieldElement:
 
     def _coerce(self, other):
         if isinstance(other, FieldElement):
-            if other.field is self.field or other.field == self.field:
+            if other.field is self.field:
                 return other
             raise FieldMismatch(
                 f"{other.field.spec_string()} element used in {self.field.spec_string()}"
@@ -394,7 +415,7 @@ class FieldElement:
     def __eq__(self, other) -> bool:
         if isinstance(other, FieldElement):
             return (
-                self.field == other.field
+                self.field is other.field
                 and self._A == other._A
                 and self._B == other._B
                 and self._D == other._D
@@ -407,6 +428,9 @@ class FieldElement:
         return NotImplemented
 
     def __hash__(self):
+        # a rational element equals its int or Fraction, so it hashes as one
+        if not self._B:
+            return hash(Fraction(self._A, self._D))
         return hash((self.field, self._A, self._B, self._D))
 
     def __repr__(self) -> str:
@@ -552,7 +576,8 @@ class ResidueElement:
     """An element of the residue field F_p or F_{p^2} = F_p(sqrt(dbar)).
 
     Stored as a pair of integers mod p; r1 is identically 0 unless the
-    field is unramified.
+    field is unramified.  It equals an int congruent to it mod p, which no
+    hash can agree with: ``hash(r) == hash(n)`` fails for such an int n.
     """
 
     __slots__ = ("field", "r0", "r1")
@@ -571,7 +596,7 @@ class ResidueElement:
         if not isinstance(other, ResidueElement):
             return NotImplemented
         return (
-            self.field == other.field
+            self.field is other.field
             and self.r0 == other.r0
             and self.r1 == other.r1
         )
@@ -719,7 +744,7 @@ class SquareClass:
         return format_element(self.rep)
 
     def __mul__(self, other: "SquareClass") -> "SquareClass":
-        if self.field is not other.field and self.field != other.field:
+        if self.field is not other.field:
             raise FieldMismatch("square classes of different fields")
         return SquareClass(self.field, self.key ^ other.key)
 
@@ -760,9 +785,9 @@ def trace(x: FieldElement) -> FieldElement:
 
 def embed_base(f_elt: FieldElement, E: LocalField) -> FieldElement:
     """Inclusion of the base field F into E, f -> f + 0*sqrt(d)."""
-    if f_elt.field is E or f_elt.field == E:
+    if f_elt.field is E:
         return f_elt
-    if f_elt.field != E.base():
+    if f_elt.field is not E.base():
         raise FieldMismatch(
             f"{f_elt.field.spec_string()} does not embed in {E.spec_string()}"
         )

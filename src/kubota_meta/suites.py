@@ -91,13 +91,12 @@ MAX_WITNESSES = 3
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Knobs shared by every suite run; `timings` only shapes reports."""
+    """Knobs shared by every suite run."""
 
     field_spec: str
     trials: int = 1000
     seed: int = 0
     height: int = 50
-    timings: bool = False
 
     def __post_init__(self):
         if self.trials < 1:
@@ -140,7 +139,7 @@ class Report:
     def passed(self) -> bool:
         return all(c.failures == 0 for c in self.checks)
 
-    def to_dict(self) -> dict:
+    def to_dict(self, timings: bool = False) -> dict:
         return {
             "schema": 1,
             "command": self.command,
@@ -150,7 +149,7 @@ class Report:
                 "seed": self.config.seed,
                 "height": self.config.height,
             },
-            "checks": [c.to_dict(self.config.timings) for c in self.checks],
+            "checks": [c.to_dict(timings) for c in self.checks],
             "pass": self.passed,
         }
 

@@ -4,13 +4,18 @@ Expected values for the square-criterion tests come from the residue
 enumeration oracles in oracles.py, not from the code under test.
 """
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from math import isqrt
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
+import kubota_meta
 from kubota_meta.errors import (
     BaseFieldInput,
     DIsSquare,
@@ -22,6 +27,7 @@ from kubota_meta.errors import (
 from kubota_meta.local_field import (
     PRIME_BOUND,
     FieldElement,
+    LocalField,
     ResidueElement,
     SquareClass,
     _class_key,
@@ -40,6 +46,9 @@ from kubota_meta.local_field import (
     valuation,
     vp_int,
 )
+from kubota_meta.hilbert import hilbert
+from kubota_meta.kubota import Mat2
+from kubota_meta.parsing import parse_field_spec
 from kubota_meta.weil import psi_eval, standard_char
 from oracles import (
     legendre_enum,
@@ -139,12 +148,58 @@ def test_field_shape_constants():
 
 
 def test_base_of_extension():
-    assert E5U.base() == Q5
-    assert E5R.base() == Q5
-    assert Q5.base() == Q5
+    assert E5U.base() is Q5
+    assert E5R.base() is Q5
+    assert Q5.base() is Q5
     # one descriptor per field, so its cached data is computed once
     assert E5U.base() is E5U.base()
-    assert Q5.base() is Q5
+
+
+def test_one_descriptor_per_field():
+    assert make_field(5) is make_field(5)
+    assert parse_field_spec("Qp(5)[ram:125]") is make_field(5, ("ram", 5))
+    assert make_field(5, ("unram", "2")) is make_field(5, ("unram", Fraction(2)))
+    for E in (make_field(5, ("unram", 2)), make_field(5, ("ram", 10)), make_field(5)):
+        assert E.base() is make_field(E.p)
+
+
+def test_elements_of_separately_parsed_fields_mix():
+    E1, E2 = parse_field_spec("Qp(5)[unram:2]"), parse_field_spec("Qp(5)[unram:2]")
+    x, y = E1.elt(1, 2), E2.elt(3, -1)
+    assert x + y == E1.elt(4, 1)
+    assert hilbert(x, y) == hilbert(E2.elt(1, 2), E1.elt(3, -1))
+    g = Mat2.diag(x, E1.one()) @ Mat2.diag(E2.one(), y)
+    assert g.det == x * y
+    assert embed_base(parse_field_spec("Qp(5)").elt(3), E2) == E1.elt(3)
+
+
+def test_a_directly_built_descriptor_is_another_field():
+    # only make_field returns the field's descriptor; any other instance is
+    # a different field, whatever its data
+    stray = LocalField(5, "base", Fraction(0))
+    assert stray != Q5
+    assert stray.elt(1) != Q5.elt(1)
+    with pytest.raises(FieldMismatch):
+        stray.elt(1) + Q5.elt(1)
+    with pytest.raises(FieldMismatch):
+        embed_base(stray.elt(1), E5U)
+
+
+SRC = Path(kubota_meta.__file__).resolve().parents[1]
+
+
+def test_square_class_set_order_ignores_the_hash_seed():
+    code = ("from kubota_meta.parsing import parse_field_spec\n"
+            "from kubota_meta.local_field import square_class_reps\n"
+            "for s in ('Qp(5)', 'Qp(5)[unram:2]', 'Qp(7)[ram:7]'):\n"
+            "    print([c.key for c in frozenset(square_class_reps(parse_field_spec(s)))])\n")
+    orders = set()
+    for seed in range(5):
+        env = {**os.environ, "PYTHONHASHSEED": str(seed), "PYTHONPATH": str(SRC)}
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, env=env, check=True)
+        orders.add(proc.stdout)
+    assert len(orders) == 1, orders
 
 
 def test_base_field_element_cannot_carry_root():
@@ -405,6 +460,15 @@ def test_int_and_fraction_coercion():
     assert x - Fraction(1, 2) == Q5.elt(Fraction(5, 2))
     assert x == 3
     assert x != 4
+
+
+def test_rational_elements_hash_as_their_rationals():
+    for F in (Q5, E5U):
+        assert F.elt(5) == 5 and 5 in {F.elt(5)}
+        assert len({5, F.elt(5)}) == 1
+        assert F.elt(Fraction(1, 3)) == Fraction(1, 3)
+        assert Fraction(1, 3) in {F.elt(Fraction(1, 3))}
+    assert len({E5U.elt(1, 1), E5U.elt(2, 2) / 2, E5U.elt(1, -1)}) == 2
 
 
 def test_cross_field_arithmetic_raises():
