@@ -11,7 +11,7 @@ passed.  Exit status: 0 when every check passes, 1 when a check fails, 2
 for usage or domain errors, with one ``error:`` line on stderr.
 
 The environment variable KUBOTA_META_SEED overrides the default seed; an
-explicit ``--seed`` beats both.
+explicit ``--seed`` beats both.  Both are read by ``int`` in base 10.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ def _default_seed() -> int:
     if raw is None:
         return 0
     try:
-        return int(raw, 0)
+        return int(raw)  # base 10, as argparse reads --seed
     except ValueError:
         raise KubotaMetaError(f"KUBOTA_META_SEED={raw!r} is not an integer") from None
 

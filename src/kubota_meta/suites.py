@@ -739,24 +739,24 @@ def run_suite(config: RunConfig, suite: str) -> Report:
     return Report(command=f"suite:{suite}", config=config, checks=checks)
 
 
-# battery used by `selftest-all`: every suite on each base and extension
-# config, plus the index checks at p = 13 where the residue field is larger.
-SELFTEST_BASE_SPECS = ("Qp(3)", "Qp(5)", "Qp(7)")
-SELFTEST_EXT_SPECS = (
-    "Qp(3)[unram:2]",
-    "Qp(3)[ram:3]",
-    "Qp(5)[unram:2]",
-    "Qp(5)[ram:5]",
-    "Qp(7)[unram:3]",
-    "Qp(7)[ram:7]",
+# battery used by `selftest-all`, as (field spec, suite) slots: every suite
+# on each base and extension config, plus the index checks at p = 13 where
+# the residue field is larger.
+BATTERY = (
+    ("Qp(3)", "all"),
+    ("Qp(5)", "all"),
+    ("Qp(7)", "all"),
+    ("Qp(3)[unram:2]", "all"),
+    ("Qp(3)[ram:3]", "all"),
+    ("Qp(5)[unram:2]", "all"),
+    ("Qp(5)[ram:5]", "all"),
+    ("Qp(7)[unram:3]", "all"),
+    ("Qp(7)[ram:7]", "all"),
+    ("Qp(13)[unram:2]", "omega"),
+    ("Qp(13)[ram:13]", "omega"),
 )
-SELFTEST_INDEX_SPECS = ("Qp(13)[unram:2]", "Qp(13)[ram:13]")
 
 
 def selftest_reports(config: RunConfig) -> list:
-    """Run the full battery; config.field_spec is ignored in favor of the list."""
-    reports = [run_suite(replace(config, field_spec=spec), "all")
-               for spec in SELFTEST_BASE_SPECS + SELFTEST_EXT_SPECS]
-    reports.extend(run_suite(replace(config, field_spec=spec), "omega")
-                   for spec in SELFTEST_INDEX_SPECS)
-    return reports
+    """Run the full battery; config.field_spec is ignored in favor of the table."""
+    return [run_suite(replace(config, field_spec=spec), suite) for spec, suite in BATTERY]

@@ -519,6 +519,24 @@ def test_cli_suite_run_and_seed_plumbing(capsys, monkeypatch):
     assert rc == 2 and "KUBOTA_META_SEED" in err
 
 
+def seed_outcome(capsys, *argv):
+    """(exit status, seed in the report) of one omega run."""
+    try:
+        rc = main(["omega", "--field", "Qp(5)", "--trials", "1", *argv])
+    except SystemExit as exc:               # argparse refuses the flag
+        rc = exc.code
+    out = capsys.readouterr().out
+    return rc, json.loads(out)["config"]["seed"] if rc == 0 else None
+
+
+@pytest.mark.parametrize("raw, outcome", [("0x10", (2, None)), ("010", (0, 10))])
+def test_cli_seed_is_base_10_by_flag_and_by_env(raw, outcome, capsys, monkeypatch):
+    monkeypatch.delenv("KUBOTA_META_SEED", raising=False)
+    assert seed_outcome(capsys, "--seed", raw) == outcome
+    monkeypatch.setenv("KUBOTA_META_SEED", raw)
+    assert seed_outcome(capsys) == outcome
+
+
 def test_cli_split_check_needs_extension(capsys):
     rc, out, _ = run_cli(capsys, "split-check", "--field", "Qp(5)[ram:5]",
                          "--trials", "3")

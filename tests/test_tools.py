@@ -1,7 +1,7 @@
-"""tools/ab_battery.py times the battery and tools/ab_folds.py long cover
-folds under two trees in one process; tools/bench_record.py pairs the
-benchmark runs of two checkouts; the benchmark in perfbench/ still finds
-every package name it uses."""
+"""tools/ab.py times the battery and long cover folds under two trees in
+one process; tools/bench_record.py pairs the benchmark runs of two
+checkouts; the benchmark in perfbench/ still finds every package name it
+uses."""
 
 import importlib.util
 import json
@@ -15,69 +15,69 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 
 
-def ab_battery(*args):
+def ab(*args):
     return subprocess.run(
-        [sys.executable, str(ROOT / "tools" / "ab_battery.py"), *map(str, args),
-         "--rounds", "1", "--trials", "2"],
+        [sys.executable, str(ROOT / "tools" / "ab.py"), "--rounds", "1", "--trials", "2",
+         *map(str, args)],
         capture_output=True, text=True, timeout=120)
 
 
-def test_ab_battery_times_two_trees_with_equal_reports():
-    proc = ab_battery(SRC, SRC / "kubota_meta")
-    assert proc.returncode == 0, proc.stderr
-    assert "total-time ratio old/new" in proc.stdout
-    assert "per-slot ratio quartiles" in proc.stdout
-
-
-def test_ab_battery_fails_when_reports_differ(tmp_path):
+def broken_copy(tmp_path, module, tail):
+    """A copy of the package under tmp_path with ``tail`` appended to ``module``."""
     broken = tmp_path / "kubota_meta"
     shutil.copytree(SRC / "kubota_meta", broken,
                     ignore=shutil.ignore_patterns("__pycache__"))
+    with open(broken / module, "a") as f:
+        f.write(tail)
+    return tmp_path
+
+
+def test_ab_times_both_workloads_of_two_equal_trees():
+    proc = ab(SRC, SRC / "kubota_meta")
+    assert proc.returncode == 0, proc.stderr
+    for kind in ("battery x 11", "folds x 9"):
+        assert f"{kind}: old" in proc.stdout
+    assert proc.stdout.count("total-time ratio old/new") == 2
+    assert proc.stdout.count("per-unit ratio quartiles") == 2
+
+
+def test_ab_fails_when_reports_differ(tmp_path):
     # the first registered check now fails every trial
-    with open(broken / "suites.py", "a") as f:
-        f.write("\nCHECKS[0] = replace(CHECKS[0], holds=lambda run, case: 'broken')\n")
-    proc = ab_battery(SRC, tmp_path)
+    tree = broken_copy(tmp_path, "suites.py",
+                       "\nCHECKS[0] = replace(CHECKS[0], holds=lambda run, case: 'broken')\n")
+    proc = ab(SRC, tree)
     assert proc.returncode == 1
     assert "reports differ: Qp(3) all" in proc.stderr
 
 
-def test_ab_battery_refuses_a_tree_without_the_package(tmp_path):
-    proc = ab_battery(SRC, tmp_path)
-    assert proc.returncode == 2
-    assert "no kubota_meta package" in proc.stderr
-
-
-def ab_folds(*args):
-    return subprocess.run(
-        [sys.executable, str(ROOT / "tools" / "ab_folds.py"), *map(str, args),
-         "--rounds", "2"],
-        capture_output=True, text=True, timeout=120)
-
-
-def test_ab_folds_times_two_trees_with_equal_folds():
-    proc = ab_folds(SRC, SRC / "kubota_meta")
-    assert proc.returncode == 0, proc.stderr
-    assert "total-time ratio old/new" in proc.stdout
-    assert "per-round ratio quartiles" in proc.stdout
-
-
-def test_ab_folds_fails_when_folds_differ(tmp_path):
-    broken = tmp_path / "kubota_meta"
-    shutil.copytree(SRC / "kubota_meta", broken,
-                    ignore=shutil.ignore_patterns("__pycache__"))
+def test_ab_fails_when_folds_differ(tmp_path):
     # every cocycle value flips, so a fold of 128 matrices flips its sign
-    with open(broken / "kubota.py", "a") as f:
-        f.write("\n_kept_beta = _beta\n"
-                "def _beta(g1, g2, h):\n    return -_kept_beta(g1, g2, h)\n")
-    proc = ab_folds(SRC, tmp_path)
+    tree = broken_copy(tmp_path, "kubota.py",
+                       "\n_kept_beta = _beta\n"
+                       "def _beta(g1, g2, h):\n    return -_kept_beta(g1, g2, h)\n")
+    proc = ab(SRC, tree)
     assert proc.returncode == 1
     assert "folds differ: Qp(3)" in proc.stderr
 
 
-def test_ab_folds_refuses_a_tree_without_the_package(tmp_path):
-    proc = ab_folds(SRC, tmp_path)
+def test_ab_refuses_a_tree_without_the_package(tmp_path):
+    proc = ab(SRC, tmp_path)
     assert proc.returncode == 2
     assert "no kubota_meta package" in proc.stderr
+
+
+def test_ab_refuses_two_different_batteries(tmp_path):
+    tree = broken_copy(tmp_path, "suites.py", "\nBATTERY = BATTERY[:-1]\n")
+    proc = ab(SRC, tree)
+    assert proc.returncode == 2
+    assert "the two trees run different batteries" in proc.stderr
+
+
+def test_ab_refuses_zero_rounds():
+    # a later --rounds beats the helper's
+    proc = ab(SRC, SRC, "--rounds", "0")
+    assert proc.returncode == 2
+    assert "--rounds and --trials must be positive" in proc.stderr
 
 
 def bench_record():
