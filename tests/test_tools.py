@@ -11,6 +11,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 
@@ -32,13 +34,30 @@ def broken_copy(tmp_path, module, tail):
     return tmp_path
 
 
-def test_ab_times_both_workloads_of_two_equal_trees():
+@pytest.fixture(scope="module")
+def equal_trees():
+    """One run of the harness on the same package, given once as ``src``
+    and once as the package directory."""
     proc = ab(SRC, SRC / "kubota_meta")
     assert proc.returncode == 0, proc.stderr
-    for kind in ("battery x 11", "folds x 9"):
-        assert f"{kind}: old" in proc.stdout
     assert proc.stdout.count("total-time ratio old/new") == 2
-    assert proc.stdout.count("per-unit ratio quartiles") == 2
+    return proc.stdout
+
+
+def workload_line(stdout, kind):
+    lines = [line for line in stdout.splitlines() if line.startswith(f"{kind}: old ")]
+    assert len(lines) == 1, stdout
+    return lines[0]
+
+
+def test_ab_battery_times_two_trees_with_equal_reports(equal_trees):
+    line = workload_line(equal_trees, "battery x 11")
+    assert "total-time ratio old/new" in line and "per-unit ratio quartiles" in line
+
+
+def test_ab_folds_times_two_trees_with_equal_folds(equal_trees):
+    line = workload_line(equal_trees, "folds x 9")
+    assert "total-time ratio old/new" in line and "per-unit ratio quartiles" in line
 
 
 def test_ab_fails_when_reports_differ(tmp_path):
@@ -60,10 +79,18 @@ def test_ab_fails_when_folds_differ(tmp_path):
     assert "folds differ: Qp(3)" in proc.stderr
 
 
-def test_ab_refuses_a_tree_without_the_package(tmp_path):
+def test_ab_battery_refuses_a_tree_without_the_package(tmp_path):
+    # the old tree is the one missing
+    proc = ab(tmp_path, SRC)
+    assert proc.returncode == 2
+    assert f"{tmp_path}: no kubota_meta package" in proc.stderr
+
+
+def test_ab_folds_refuses_a_tree_without_the_package(tmp_path):
+    # the new tree is the one missing
     proc = ab(SRC, tmp_path)
     assert proc.returncode == 2
-    assert "no kubota_meta package" in proc.stderr
+    assert f"{tmp_path}: no kubota_meta package" in proc.stderr
 
 
 def test_ab_refuses_two_different_batteries(tmp_path):
